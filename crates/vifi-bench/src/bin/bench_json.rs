@@ -32,9 +32,7 @@ use vifi_metrics::{sessions_from_ratios, SessionDef, SlotSeries};
 use vifi_phy::gilbert::GeParams;
 use vifi_phy::pathloss::{ShadowField, ShadowSampler};
 use vifi_phy::{GilbertElliott, NodeId, Point};
-use vifi_runtime::{
-    read_stream, RunConfig, RunLog, ShardMode, Simulation, StreamFold, WorkloadSpec,
-};
+use vifi_runtime::{read_stream, RunConfig, RunLog, Simulation, StreamFold, WorkloadSpec};
 use vifi_sim::{EventQueue, Rng, SimDuration, SimTime};
 use vifi_testbeds::{dieselnet_fleet, metro, vanlan};
 
@@ -154,33 +152,20 @@ fn bench_runlog_stream(h: &mut Harness) {
 }
 
 fn bench_fleet_sharded(h: &mut Harness) {
-    // The sharded fleet executor end to end: plan a 16-bus DieselNet
-    // fleet, run one micro-shard sub-run per bus (the decomposed
-    // semantics, workers capped at the host's cores), and merge the
-    // outcomes in vehicle order. A short simulated horizon keeps one
-    // iteration in the tens of milliseconds — the bench tracks the
-    // orchestration overhead (planning, sub-scenario builds, link-model
-    // construction, merge) plus per-event simulation cost, which is
-    // where a sharding regression would land.
+    // The sharded executor on a 16-bus DieselNet fleet: one
+    // epoch-synchronized run split across 2 shards, every shard executed
+    // on the calling thread (worker threads would only add scheduler
+    // noise to a microbenchmark) — measures planning, epoch execution,
+    // barrier placement/resolution, canonical routing and the log
+    // replay. A short simulated horizon keeps one iteration in the tens
+    // of milliseconds.
     let scenario = dieselnet_fleet(16, 42);
-    let cfg = RunConfig {
+    let coupled_cfg = RunConfig {
         fleet_workloads: vec![WorkloadSpec::paper_cbr()],
         duration: SimDuration::from_secs(2),
         seed: 7,
         shards: 2,
         ..RunConfig::default()
-    };
-    h.bench("fleet_run_16bus_sharded", || {
-        Simulation::run_sharded(&scenario, std::hint::black_box(cfg.clone())).events
-    });
-    // The contention-preserving coupled executor on the same fleet: one
-    // epoch-synchronized run split across 2 shards, every shard executed
-    // on the calling thread (worker threads would only add scheduler
-    // noise to a microbenchmark) — measures epoch execution, barrier
-    // placement/resolution, canonical routing and the log replay.
-    let coupled_cfg = RunConfig {
-        shard_mode: ShardMode::Coupled,
-        ..cfg
     };
     h.bench("fleet_run_16bus_coupled", || {
         Simulation::run_coupled_timed(
@@ -227,7 +212,6 @@ fn bench_fleet_sharded(h: &mut Harness) {
         duration: SimDuration::from_secs(2),
         seed: 7,
         shards: 2,
-        shard_mode: ShardMode::Coupled,
         ..RunConfig::default()
     };
     h.bench("fleet_run_64van_coupled", || {
@@ -247,7 +231,6 @@ fn bench_fleet_sharded(h: &mut Harness) {
         duration: SimDuration::from_secs(2),
         seed: 7,
         shards: 2,
-        shard_mode: ShardMode::Coupled,
         ..RunConfig::default()
     };
     h.bench("fleet_run_metro_coupled", || {

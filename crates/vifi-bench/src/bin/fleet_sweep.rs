@@ -14,34 +14,28 @@
 //!
 //! Writes `results/fleet_sweep.json`: one entry per (testbed, fleet size)
 //! with a per-vehicle breakdown (first seed) and seed-averaged aggregates,
-//! plus two execution-scaling axes on the largest fleets:
+//! plus execution-scaling axes. Sharding never changes the physics — a
+//! sharded run is bit-identical to the sequential one — so every axis
+//! measures pure core scaling:
 //!
-//! * `shard_scaling` — the Independent (contention-dropping) decomposition
-//!   of PR 4;
-//! * `coupled_scaling` — the contention-preserving coupled mode: same
-//!   physics and bit-identical results as the sequential run, split
-//!   across shards by the epoch engine. Its `speedup_vs_sequential` is
-//!   pure core scaling of the *trustworthy* numbers; its
-//!   `cost_vs_independent` prices what keeping the shared medium costs
-//!   over the Independent shortcut.
-//!
-//! A third axis, `city_coupled_scaling`, profiles the coupled mode on
-//! city-scale fleets (vanlan(64), dieselnet_fleet(128)) at up to 16
-//! shards — the regime the parallel audibility-partitioned barrier
-//! targets. A fourth, `metro_coupled_scaling`, A/Bs the nested epoch
-//! hierarchy against the flat schedule on the multi-cluster
-//! `metro(4, 16, 42)` scenario at the same shard counts.
-
-use std::time::Instant;
+//! * `coupled_scaling` — the largest fleets split across shards by the
+//!   epoch engine; `speedup_vs_sequential` is the sequential critical
+//!   path over each shard count's;
+//! * `city_coupled_scaling` — city-scale fleets (vanlan(64),
+//!   dieselnet_fleet(128)) at up to 16 shards, the regime the parallel
+//!   audibility-partitioned barrier targets;
+//! * `metro_coupled_scaling` — the nested epoch hierarchy A/B'd against
+//!   the flat schedule on the multi-cluster `metro(4, 16, 42)` scenario
+//!   at the same shard counts.
 
 use vifi_bench::{
     banner, interruptions, median_session_secs, parallel_map_seeds, print_table,
-    run_coupled_fleet_deployment, run_faulted_fleet_deployment, run_fleet_deployment,
-    run_sharded_fleet_deployment, save_json, CoupledScalingRow, Scale, ShardScalingRow, VifiConfig,
+    run_coupled_fleet_deployment, run_faulted_fleet_deployment, run_fleet_deployment, save_json,
+    CoupledScalingRow, Scale, VifiConfig,
 };
 use vifi_faults::FaultPlan;
 use vifi_runtime::workload::aggregate_cbr;
-use vifi_runtime::{RunConfig, RunOutcome, ShardMode, Simulation, WorkloadSpec};
+use vifi_runtime::{RunConfig, RunOutcome, Simulation, WorkloadSpec};
 use vifi_sim::{Rng, SimDuration};
 use vifi_testbeds::{dieselnet_fleet, metro, vanlan, Scenario};
 
@@ -205,121 +199,27 @@ fn sweep_testbed(
     serde_json::json!({ "testbed": label, "fleets": fleets })
 }
 
-/// Profile the sharded executor on the largest fleet of a testbed:
-/// wall-clock and per-shard wall-clock at each count in [`SHARD_COUNTS`].
-/// The `shards = 1` row is the sequential fully-coupled run; speedups are
-/// critical-path figures (over the slowest shard), i.e. what the plan
-/// yields once every shard has a core of its own — on a host with fewer
-/// cores the workers run shards back-to-back, so the per-shard walls
-/// stay honest either way. Two speedups are reported per row:
-/// `speedup` (end-to-end vs the coupled `shards = 1` experiment — core
-/// scaling *plus* the decomposition's cheaper contention-free physics)
-/// and `par` (`parallel_speedup`: total decomposed work over the
-/// critical path, the pure core-scaling factor).
-fn shard_scaling(
-    label: &str,
-    scenario: &Scenario,
-    duration: SimDuration,
-) -> (serde_json::Value, Vec<ShardScalingRow>) {
-    // Each shard count is measured twice and the pass with the smaller
-    // critical path kept — the same min-merging the bench harness uses:
-    // contention bursts on a shared host only inflate timings, so the
-    // minimum tracks the code, not the neighbours.
-    const PASSES: usize = 2;
-    let critical_of = |timings: &[vifi_runtime::ShardTiming]| {
-        timings
-            .iter()
-            .map(|t| t.wall.as_secs_f64() * 1e3)
-            .fold(0.0f64, f64::max)
-    };
-    let mut seq_wall_ms = 0.0;
-    let mut rows: Vec<ShardScalingRow> = Vec::new();
-    for &shards in &SHARD_COUNTS {
-        let mut best: Option<(f64, Vec<vifi_runtime::ShardTiming>)> = None;
-        for _ in 0..PASSES {
-            let start = Instant::now();
-            let (out, timings) = run_sharded_fleet_deployment(
-                scenario,
-                VifiConfig::default(),
-                vec![WorkloadSpec::paper_cbr()],
-                duration,
-                1000,
-                shards,
-            );
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(out.vehicles.len(), scenario.vehicle_ids().len());
-            let better = best
-                .as_ref()
-                .map(|(_, b)| critical_of(&timings) < critical_of(b))
-                .unwrap_or(true);
-            if better {
-                best = Some((wall_ms, timings));
-            }
-        }
-        let (wall_ms, timings) = best.expect("at least one pass");
-        if shards == 1 {
-            // The baseline both speedups divide by: the coupled run's
-            // in-worker wall (its own critical path), so the shards=1
-            // row reads exactly 1.00x.
-            seq_wall_ms = critical_of(&timings);
-        }
-        rows.push(ShardScalingRow::from_timings(
-            shards,
-            wall_ms,
-            &timings,
-            seq_wall_ms,
-        ));
-    }
-    print_table(
-        &format!(
-            "{label} — shard scaling ({} vehicles)",
-            scenario.vehicle_ids().len()
-        ),
-        &["shards", "wall ms", "critical path ms", "speedup", "par"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.shards.to_string(),
-                    format!("{:.0}", r.wall_ms),
-                    format!("{:.0}", r.critical_path_ms),
-                    format!("{:.2}x", r.speedup_vs_sequential),
-                    format!("{:.2}x", r.parallel_speedup),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let json = serde_json::json!({
-        "testbed": label,
-        "vehicles": scenario.vehicle_ids().len(),
-        "duration_s": duration.as_secs(),
-        "rows": rows.iter().map(|r| r.to_json()).collect::<Vec<_>>(),
-    });
-    (json, rows)
-}
-
-/// Profile the contention-preserving coupled mode on the largest fleet:
-/// shard counts in [`SHARD_COUNTS`], every shard executed on the calling
-/// thread (`workers = Some(1)`) so per-shard walls are honest even when
-/// the host has fewer cores than shards. `speedup_vs_sequential` divides
-/// the sequential (`shards = 1`) critical path by each row's
-/// `serial + max(per-shard)` critical path — what the bit-identical
-/// coupled experiment costs once every shard has a core of its own —
-/// and `cost_vs_independent` compares against the Independent axis at
-/// the same shard count (the price of keeping the shared medium).
+/// Profile the sharded engine on one fleet: shard counts in `counts`,
+/// every shard executed on the calling thread (`workers = Some(1)`) so
+/// per-shard walls are honest even when the host has fewer cores than
+/// shards. `speedup_vs_sequential` divides the sequential (`shards = 1`)
+/// critical path by each row's `serial + max(per-shard)` critical path —
+/// what the bit-identical experiment costs once every shard has a core
+/// of its own.
 fn coupled_scaling(
     label: &str,
     scenario: &Scenario,
     duration: SimDuration,
-    independent: &[ShardScalingRow],
     counts: &[usize],
 ) -> serde_json::Value {
     const PASSES: usize = 2;
     let mut seq_critical_ms = 0.0;
     let mut rows: Vec<CoupledScalingRow> = Vec::new();
     for &shards in counts {
-        // Min-merge across passes by critical path, like the Independent
-        // axis: shared-host contention only inflates timings.
+        // Each shard count is measured twice and the pass with the
+        // smaller critical path kept — the same min-merging the bench
+        // harness uses: contention bursts on a shared host only inflate
+        // timings, so the minimum tracks the code, not the neighbours.
         let mut best: Option<vifi_runtime::CoupledTiming> = None;
         for _ in 0..PASSES {
             let (out, timing) = run_coupled_fleet_deployment(
@@ -345,30 +245,18 @@ fn coupled_scaling(
         if shards == 1 {
             seq_critical_ms = timing.critical_path().as_secs_f64() * 1e3;
         }
-        let independent_ms = independent
-            .iter()
-            .find(|r| r.shards == shards)
-            .map(|r| r.critical_path_ms)
-            .unwrap_or(0.0);
         rows.push(CoupledScalingRow::from_timing(
             shards,
             &timing,
             seq_critical_ms,
-            independent_ms,
         ));
     }
     print_table(
         &format!(
-            "{label} — coupled scaling ({} vehicles, contention preserved)",
+            "{label} — shard scaling ({} vehicles)",
             scenario.vehicle_ids().len()
         ),
-        &[
-            "shards",
-            "critical path ms",
-            "serial ms",
-            "speedup",
-            "vs indep",
-        ],
+        &["shards", "critical path ms", "serial ms", "speedup"],
         &rows
             .iter()
             .map(|r| {
@@ -377,7 +265,6 @@ fn coupled_scaling(
                     format!("{:.0}", r.critical_path_ms),
                     format!("{:.0}", r.serial_ms),
                     format!("{:.2}x", r.speedup_vs_sequential),
-                    format!("{:.2}x", r.cost_vs_independent),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -415,7 +302,6 @@ fn metro_coupled_scaling(
                 duration,
                 seed: 1000,
                 shards,
-                shard_mode: ShardMode::Coupled,
                 flat_epochs: flat,
                 ..RunConfig::default()
             };
@@ -636,37 +522,25 @@ fn main() {
     let max_fleet = *FLEET_SIZES.last().expect("non-empty grid");
     let vanlan_big = vanlan(max_fleet);
     let diesel_big = dieselnet_fleet(max_fleet, 42);
-    let (vanlan_shards, vanlan_rows) = shard_scaling("VanLAN", &vanlan_big, duration);
-    let (diesel_shards, diesel_rows) = shard_scaling("DieselNet-Fleet", &diesel_big, duration);
     let coupled_scaling_json = vec![
-        coupled_scaling("VanLAN", &vanlan_big, duration, &vanlan_rows, &SHARD_COUNTS),
-        coupled_scaling(
-            "DieselNet-Fleet",
-            &diesel_big,
-            duration,
-            &diesel_rows,
-            &SHARD_COUNTS,
-        ),
+        coupled_scaling("VanLAN", &vanlan_big, duration, &SHARD_COUNTS),
+        coupled_scaling("DieselNet-Fleet", &diesel_big, duration, &SHARD_COUNTS),
     ];
-    // City-scale coupled axis: 64/128-vehicle fleets at up to 16 shards —
-    // what the parallel audibility-partitioned barrier buys. No
-    // Independent reference here (the decomposition answers a different
-    // question and the fleets are heavy); shorter horizon for the same
-    // reason.
+    // City-scale axis: 64/128-vehicle fleets at up to 16 shards — what the
+    // parallel audibility-partitioned barrier buys. The fleets are heavy,
+    // hence the shorter horizon.
     let city_duration = SimDuration::from_secs(60 * scale.laps.max(1) as u64);
     let city_scaling_json = vec![
         coupled_scaling(
             "VanLAN-city",
             &vanlan(64),
             city_duration,
-            &[],
             &CITY_SHARD_COUNTS,
         ),
         coupled_scaling(
             "DieselNet-city",
             &dieselnet_fleet(128, 42),
             city_duration,
-            &[],
             &CITY_SHARD_COUNTS,
         ),
     ];
@@ -689,7 +563,6 @@ fn main() {
             "city_shard_counts": CITY_SHARD_COUNTS.to_vec(),
             "fault_intensities": FAULT_INTENSITIES.to_vec(),
             "testbeds": [vanlan_json, diesel_json],
-            "shard_scaling": [vanlan_shards, diesel_shards],
             "coupled_scaling": coupled_scaling_json,
             "city_coupled_scaling": city_scaling_json,
             "metro_coupled_scaling": metro_scaling_json,

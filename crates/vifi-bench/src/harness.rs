@@ -1,9 +1,5 @@
-//! A statistics-bearing micro-benchmark harness.
-//!
-//! The vendored `criterion` substitute (see `vendor/criterion`) times a
-//! handful of samples and prints min/mean — good enough to see orders of
-//! magnitude, useless for regression gating. This harness is the perf
-//! backbone the ROADMAP asks for:
+//! A statistics-bearing micro-benchmark harness — the one harness behind
+//! `bench_json`, `bench_compare` and the CI regression gate:
 //!
 //! * **calibration** — the iteration count per sample is auto-scaled so one
 //!   sample takes roughly [`BenchConfig::sample_target`], keeping timer

@@ -22,9 +22,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 use vifi_metrics::{mean_ci95, sessions_from_ratios, SessionDef};
-use vifi_runtime::{
-    CoupledTiming, RunConfig, RunOutcome, ShardMode, ShardTiming, Simulation, WorkloadSpec,
-};
+use vifi_runtime::{CoupledTiming, RunConfig, RunOutcome, Simulation, WorkloadSpec};
 use vifi_sim::{SimDuration, SimTime};
 use vifi_testbeds::{BeaconTrace, Scenario};
 
@@ -42,10 +40,32 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Parse from `std::env::args`: `--full` triples laps and seeds;
-    /// `--laps N` / `--seeds N` override.
+    /// Parse from `std::env::args` (see [`Scale::parse`]), exiting with a
+    /// usage message when a scaling flag has a missing or bad value.
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Scale::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: [--full] [--laps N] [--seeds N]");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse the scaling flags: `--full` triples laps and seeds;
+    /// `--laps N` / `--seeds N` override. Other arguments are ignored —
+    /// `ablations` reads its own flags and `all` forwards everything — but
+    /// `--laps` / `--seeds` without a positive integer after them is an
+    /// error, never a silent fallback to the default.
+    pub fn parse(args: &[String]) -> Result<Scale, String> {
+        fn count<T: std::str::FromStr + PartialOrd + Default>(
+            flag: &str,
+            value: Option<&String>,
+        ) -> Result<T, String> {
+            let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+            match value.parse::<T>() {
+                Ok(n) if n > T::default() => Ok(n),
+                _ => Err(format!("{flag} {value:?}: not a whole number >= 1")),
+            }
+        }
         let full = args.iter().any(|a| a == "--full");
         let mut scale = Scale {
             laps: if full { 3 } else { 1 },
@@ -55,20 +75,12 @@ impl Scale {
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--laps" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        scale.laps = v;
-                    }
-                }
-                "--seeds" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        scale.seeds = v;
-                    }
-                }
+                "--laps" => scale.laps = count(a, it.next())?,
+                "--seeds" => scale.seeds = count(a, it.next())?,
                 _ => {}
             }
         }
-        scale
+        Ok(scale)
     }
 
     /// Simulated duration for a scenario at this scale.
@@ -177,46 +189,11 @@ pub fn run_faulted_fleet_deployment(
     Simulation::deployment(scenario, cfg).run()
 }
 
-/// Run one fleet deployment sharded across `shards` workers (see
-/// [`vifi_runtime::RunConfig::shards`]; `1` = the sequential coupled
-/// loop), returning the merged outcome plus per-shard wall-clock
-/// accounting. Same workload rules as [`run_fleet_deployment`].
-pub fn run_sharded_fleet_deployment(
-    scenario: &Scenario,
-    vifi: VifiConfig,
-    workloads: Vec<WorkloadSpec>,
-    duration: SimDuration,
-    seed: u64,
-    shards: usize,
-) -> (RunOutcome, Vec<ShardTiming>) {
-    assert!(
-        !workloads.is_empty(),
-        "fleet runs need at least one workload"
-    );
-    let wired_delay = wired_delay_for(&workloads[0]);
-    assert!(
-        workloads.iter().all(|w| wired_delay_for(w) == wired_delay),
-        "wired_delay is one per-run knob: a fleet must be all-VoIP \
-         (wired_delay 0, the scorer adds the 40 ms budget) or VoIP-free"
-    );
-    let cfg = RunConfig {
-        vifi,
-        fleet_workloads: workloads,
-        duration,
-        seed,
-        wired_delay,
-        shards,
-        ..RunConfig::default()
-    };
-    Simulation::run_sharded_timed(scenario, cfg)
-}
-
-/// Run one fleet deployment in the contention-preserving coupled mode
-/// (`ShardMode::Coupled` over the epoch engine), returning the outcome
-/// plus the engine's wall-clock breakdown. `workers = Some(1)` executes
-/// every shard on the calling thread — the honest way to measure
-/// per-shard walls on a host with fewer cores than shards. Same workload
-/// rules as [`run_fleet_deployment`].
+/// Run one fleet deployment sharded across `shards` engine shards,
+/// returning the outcome plus the engine's wall-clock breakdown.
+/// `workers = Some(1)` executes every shard on the calling thread — the
+/// honest way to measure per-shard walls on a host with fewer cores than
+/// shards. Same workload rules as [`run_fleet_deployment`].
 pub fn run_coupled_fleet_deployment(
     scenario: &Scenario,
     vifi: VifiConfig,
@@ -243,110 +220,17 @@ pub fn run_coupled_fleet_deployment(
         seed,
         wired_delay,
         shards,
-        shard_mode: ShardMode::Coupled,
         ..RunConfig::default()
     };
     Simulation::run_coupled_timed(scenario, cfg, workers)
 }
 
 // ---------------------------------------------------------------------
-// Shard-scaling rows (the fleet_sweep shard axis)
+// Shard-scaling rows (the fleet_sweep scaling axes)
 // ---------------------------------------------------------------------
 
-/// One row of `results/fleet_sweep.json`'s `shard_scaling` axis: the
-/// wall-clock profile of one sharded run of the largest fleet.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardScalingRow {
-    /// Configured shard count (`1` = the sequential coupled run).
-    pub shards: usize,
-    /// Measured wall-clock of the whole run on this host, ms.
-    pub wall_ms: f64,
-    /// Per-shard wall-clock, ms, in shard-id order — the satellite the
-    /// scaling curve is read from.
-    pub per_shard_wall_ms: Vec<f64>,
-    /// `max(per_shard_wall_ms)`: the run's critical path, i.e. its
-    /// wall-clock when every shard has its own core.
-    pub critical_path_ms: f64,
-    /// Sequential (`shards = 1`, fully-coupled) wall divided by this
-    /// row's critical path: the end-to-end win of running the experiment
-    /// sharded, given enough cores. **Two effects compound here** — core
-    /// scaling *and* the decomposition's cheaper physics (`shards >= 2`
-    /// drops cross-vehicle contention) — so read it as "how much faster
-    /// does the fleet experiment finish", not as parallel efficiency;
-    /// that is what [`ShardScalingRow::parallel_speedup`] isolates.
-    pub speedup_vs_sequential: f64,
-    /// `sum(per_shard_wall_ms) / critical_path_ms`: pure core-scaling of
-    /// the shard plan — total decomposed work over the slowest shard,
-    /// i.e. the speedup vs running the *same* decomposition on one
-    /// thread (`Simulation::run_sharded_sequential`), free of the
-    /// semantic change. `1.0` for the `shards = 1` row.
-    pub parallel_speedup: f64,
-}
-
-impl ShardScalingRow {
-    /// Build a row from a sharded run's timings and the sequential
-    /// reference wall-clock.
-    pub fn from_timings(
-        shards: usize,
-        wall: f64,
-        timings: &[ShardTiming],
-        seq_wall_ms: f64,
-    ) -> Self {
-        let per_shard: Vec<f64> = timings.iter().map(|t| t.wall.as_secs_f64() * 1e3).collect();
-        let critical = per_shard.iter().copied().fold(0.0f64, f64::max);
-        let total: f64 = per_shard.iter().sum();
-        ShardScalingRow {
-            shards,
-            wall_ms: wall,
-            per_shard_wall_ms: per_shard,
-            critical_path_ms: critical,
-            speedup_vs_sequential: if critical > 0.0 {
-                seq_wall_ms / critical
-            } else {
-                0.0
-            },
-            parallel_speedup: if critical > 0.0 {
-                total / critical
-            } else {
-                0.0
-            },
-        }
-    }
-
-    /// The row's JSON shape (the schema the round-trip test pins).
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "shards": self.shards,
-            "wall_ms": self.wall_ms,
-            "per_shard_wall_ms": self.per_shard_wall_ms.clone(),
-            "critical_path_ms": self.critical_path_ms,
-            "speedup_vs_sequential": self.speedup_vs_sequential,
-            "parallel_speedup": self.parallel_speedup,
-        })
-    }
-
-    /// Parse a row back from its JSON shape (schema check; returns None
-    /// if any field is missing or mistyped).
-    pub fn from_json(v: &serde_json::Value) -> Option<Self> {
-        Some(ShardScalingRow {
-            shards: v.get("shards")?.as_u64()? as usize,
-            wall_ms: v.get("wall_ms")?.as_f64()?,
-            per_shard_wall_ms: match v.get("per_shard_wall_ms")? {
-                serde_json::Value::Array(xs) => xs
-                    .iter()
-                    .map(|x| x.as_f64())
-                    .collect::<Option<Vec<f64>>>()?,
-                _ => return None,
-            },
-            critical_path_ms: v.get("critical_path_ms")?.as_f64()?,
-            speedup_vs_sequential: v.get("speedup_vs_sequential")?.as_f64()?,
-            parallel_speedup: v.get("parallel_speedup")?.as_f64()?,
-        })
-    }
-}
-
 /// One row of `results/fleet_sweep.json`'s `coupled_scaling` axis: the
-/// wall-clock profile of one contention-preserving coupled run.
+/// wall-clock profile of one sharded run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CoupledScalingRow {
     /// Configured shard count (`1` = the sequential coupled run).
@@ -360,29 +244,17 @@ pub struct CoupledScalingRow {
     /// `serial_ms + max(per_shard_wall_ms)`: the run's wall-clock once
     /// every shard has its own core.
     pub critical_path_ms: f64,
-    /// Sequential coupled wall (`shards = 1` critical path) divided by
-    /// this row's critical path: the end-to-end speedup of the coupled
-    /// experiment at this shard count, **with identical physics and
-    /// bit-identical results** — pure core scaling, no semantic change
-    /// compounded in (unlike the Independent axis' figure).
+    /// Sequential wall (`shards = 1` critical path) divided by this
+    /// row's critical path: the end-to-end speedup of the experiment at
+    /// this shard count, **with identical physics and bit-identical
+    /// results** — pure core scaling.
     pub speedup_vs_sequential: f64,
-    /// This row's critical path divided by the Independent-mode critical
-    /// path at the same shard count (> 1 = coupled costs that much more
-    /// wall-clock than the contention-dropping decomposition — the price
-    /// of keeping the shared medium).
-    pub cost_vs_independent: f64,
 }
 
 impl CoupledScalingRow {
-    /// Build a row from an engine timing, the sequential reference
-    /// critical path, and the Independent-mode critical path at the same
-    /// shard count (ms; `0` if unavailable).
-    pub fn from_timing(
-        shards: usize,
-        timing: &CoupledTiming,
-        seq_critical_ms: f64,
-        independent_critical_ms: f64,
-    ) -> Self {
+    /// Build a row from an engine timing and the sequential reference
+    /// critical path (ms).
+    pub fn from_timing(shards: usize, timing: &CoupledTiming, seq_critical_ms: f64) -> Self {
         let per_shard: Vec<f64> = timing
             .per_shard
             .iter()
@@ -400,11 +272,6 @@ impl CoupledScalingRow {
             } else {
                 0.0
             },
-            cost_vs_independent: if independent_critical_ms > 0.0 {
-                critical / independent_critical_ms
-            } else {
-                0.0
-            },
         }
     }
 
@@ -416,7 +283,6 @@ impl CoupledScalingRow {
             "serial_ms": self.serial_ms,
             "critical_path_ms": self.critical_path_ms,
             "speedup_vs_sequential": self.speedup_vs_sequential,
-            "cost_vs_independent": self.cost_vs_independent,
         })
     }
 
@@ -435,7 +301,6 @@ impl CoupledScalingRow {
             serial_ms: v.get("serial_ms")?.as_f64()?,
             critical_path_ms: v.get("critical_path_ms")?.as_f64()?,
             speedup_vs_sequential: v.get("speedup_vs_sequential")?.as_f64()?,
-            cost_vs_independent: v.get("cost_vs_independent")?.as_f64()?,
         })
     }
 }
@@ -772,37 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_scaling_row_roundtrips_through_vendored_serde_json() {
-        // The fleet_sweep shard axis must survive serialize → parse →
-        // compare through the vendored serde_json, so downstream tooling
-        // can rely on the schema.
-        let row = ShardScalingRow {
-            shards: 4,
-            wall_ms: 123.25,
-            per_shard_wall_ms: vec![30.5, 31.0, 29.75, 32.0],
-            critical_path_ms: 32.0,
-            speedup_vs_sequential: 2.5,
-            parallel_speedup: 3.852,
-        };
-        let v = row.to_json();
-        let text = serde_json::to_string(&v).expect("serialize row");
-        let parsed: serde_json::Value = serde_json::from_str(&text).expect("parse row back");
-        // Row-level round-trip: every field, every number, bit-equal.
-        // (Value-tree equality would be too strict — the vendored
-        // renderer canonicalizes integral floats like 32.0 to `32`.)
-        let back = ShardScalingRow::from_json(&parsed).expect("schema fields present");
-        assert_eq!(back, row);
-        // The canonical text form is a fixed point: parse → render
-        // reproduces the same bytes, so diffs of results/ stay stable.
-        let text2 = serde_json::to_string(&parsed).expect("re-serialize");
-        assert_eq!(text2, text);
-        // A mistyped document is rejected, not misread.
-        let broken: serde_json::Value =
-            serde_json::from_str("{\"shards\": \"four\"}").expect("parse");
-        assert!(ShardScalingRow::from_json(&broken).is_none());
-    }
-
-    #[test]
     fn coupled_scaling_row_roundtrips_and_computes() {
         use std::time::Duration;
         let timing = CoupledTiming {
@@ -813,42 +647,25 @@ mod tests {
             ],
             serial: Duration::from_millis(10),
         };
-        let row = CoupledScalingRow::from_timing(3, &timing, 130.0, 50.0);
+        let row = CoupledScalingRow::from_timing(3, &timing, 130.0);
         assert_eq!(row.per_shard_wall_ms, vec![40.0, 55.0, 35.0]);
         assert_eq!(row.serial_ms, 10.0);
         assert_eq!(row.critical_path_ms, 65.0);
         assert!((row.speedup_vs_sequential - 2.0).abs() < 1e-12);
-        assert!((row.cost_vs_independent - 1.3).abs() < 1e-12);
-        // JSON round-trip through the vendored serde_json.
+        // JSON round-trip through the vendored serde_json: every field,
+        // every number, bit-equal. (Value-tree equality would be too
+        // strict — the vendored renderer canonicalizes integral floats
+        // like 65.0 to `65`.)
         let text = serde_json::to_string(&row.to_json()).expect("serialize");
         let parsed: serde_json::Value = serde_json::from_str(&text).expect("parse");
         assert_eq!(CoupledScalingRow::from_json(&parsed).expect("schema"), row);
+        // The canonical text form is a fixed point: parse → render
+        // reproduces the same bytes, so diffs of results/ stay stable.
+        let text2 = serde_json::to_string(&parsed).expect("re-serialize");
+        assert_eq!(text2, text);
         // A mistyped document is rejected, not misread.
         let broken: serde_json::Value = serde_json::from_str("{\"shards\": [2]}").expect("parse");
         assert!(CoupledScalingRow::from_json(&broken).is_none());
-    }
-
-    #[test]
-    fn shard_scaling_row_from_timings() {
-        use std::time::Duration;
-        let timings = vec![
-            vifi_runtime::ShardTiming {
-                shard_id: 0,
-                vehicles: 2,
-                wall: Duration::from_millis(40),
-            },
-            vifi_runtime::ShardTiming {
-                shard_id: 1,
-                vehicles: 2,
-                wall: Duration::from_millis(50),
-            },
-        ];
-        let row = ShardScalingRow::from_timings(2, 95.0, &timings, 100.0);
-        assert_eq!(row.per_shard_wall_ms, vec![40.0, 50.0]);
-        assert_eq!(row.critical_path_ms, 50.0);
-        assert!((row.speedup_vs_sequential - 2.0).abs() < 1e-12);
-        // Pure core-scaling: 90 ms of decomposed work, 50 ms critical path.
-        assert!((row.parallel_speedup - 1.8).abs() < 1e-12);
     }
 
     #[test]
@@ -860,5 +677,32 @@ mod tests {
         };
         let v = vifi_testbeds::vanlan(1);
         assert_eq!(s.duration(&v), v.lap * 2);
+    }
+
+    #[test]
+    fn scale_parses_flags_and_rejects_bad_values() {
+        let args = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let s = Scale::parse(&args(&[])).unwrap();
+        assert_eq!((s.laps, s.seeds, s.full), (1, 2, false));
+        let s = Scale::parse(&args(&["--full"])).unwrap();
+        assert_eq!((s.laps, s.seeds, s.full), (3, 5, true));
+        // Overrides win over --full, in any order; unknown flags pass
+        // through for the bins that read their own.
+        let s = Scale::parse(&args(&[
+            "--laps", "4", "--full", "--limits", "--seeds", "7",
+        ]))
+        .unwrap();
+        assert_eq!((s.laps, s.seeds, s.full), (4, 7, true));
+        for bad in [
+            &["--laps"][..],
+            &["--seeds"],
+            &["--laps", "two"],
+            &["--seeds", "-1"],
+            &["--laps", "0"],
+            &["--seeds", "--full"],
+        ] {
+            let err = Scale::parse(&args(bad)).unwrap_err();
+            assert!(err.starts_with(bad[0]), "{bad:?}: {err}");
+        }
     }
 }

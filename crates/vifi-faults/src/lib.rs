@@ -7,7 +7,7 @@
 //! DieselNet testbed synthesizes bus mobility from a seed: every draw
 //! comes from a forked [`Rng`] stream keyed by `(seed, fault kind,
 //! target)`, so the plan is a pure function of its inputs and identical
-//! across shard counts, shard modes, and worker threads.
+//! across shard counts and worker threads.
 //!
 //! The plan is *data*, not behaviour: the runtime consumes it through
 //! pure queries of `(node, time)` — [`FaultPlan::bs_down`],
@@ -258,53 +258,6 @@ impl FaultPlan {
     pub fn crash_windows(&self, n: NodeId) -> &[Window] {
         self.bs_crashes.get(&n).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Rewrite every node id through `f`, dropping targets it maps to
-    /// `None`. Used when a fleet run is decomposed into per-vehicle
-    /// micro-shards with re-densified node ids.
-    ///
-    /// Pairwise entries (backplane partitions) follow a **keep-one-sided**
-    /// rule: a partition survives the remap whenever *any* of its severed
-    /// basestations survives, with the severed set shrunk to the
-    /// survivors. This is the only choice that commutes with the queries —
-    /// [`Self::partitioned`] asks whether two endpoints sit on opposite
-    /// sides of the cut, so for every pair of *surviving* nodes the answer
-    /// under the remapped plan must equal the answer under the original
-    /// plan. Keeping the one-sided remainder preserves exactly that: a
-    /// surviving severed BS is still partitioned from every surviving
-    /// unsevered node, and two surviving severed BSes still see each other
-    /// (same side). Dropping the entry instead would silently heal the
-    /// cut for the survivors. Conversely, when *no* severed node survives,
-    /// every surviving pair is on the unsevered side together, so the
-    /// entry is dropped — equivalent for all queries the subset can make.
-    /// Spikes carry no node ids (they degrade the whole backplane) and are
-    /// always kept. The property suite pins this with
-    /// `remap_commutes_with_every_query`.
-    pub fn remap(&self, f: impl Fn(NodeId) -> Option<NodeId>) -> FaultPlan {
-        let map_windows = |m: &BTreeMap<NodeId, Vec<Window>>| {
-            m.iter()
-                .filter_map(|(n, w)| f(*n).map(|n2| (n2, w.clone())))
-                .collect::<BTreeMap<_, _>>()
-        };
-        FaultPlan {
-            bs_crashes: map_windows(&self.bs_crashes),
-            beacon_suppressions: map_windows(&self.beacon_suppressions),
-            wired_outages: map_windows(&self.wired_outages),
-            bp_partitions: self
-                .bp_partitions
-                .iter()
-                .filter_map(|p| {
-                    let severed: BTreeSet<NodeId> =
-                        p.severed.iter().filter_map(|n| f(*n)).collect();
-                    (!severed.is_empty()).then_some(Partition {
-                        window: p.window,
-                        severed,
-                    })
-                })
-                .collect(),
-            bp_spikes: self.bp_spikes.clone(),
-        }
-    }
 }
 
 fn in_windows(windows: Option<&Vec<Window>>, t: SimTime) -> bool {
@@ -425,129 +378,7 @@ mod tests {
         assert!(!plan.partitioned(NodeId(0), NodeId(1), SimTime::from_secs(11)));
     }
 
-    #[test]
-    fn remap_drops_unmapped_targets_and_rewrites_the_rest() {
-        let plan =
-            FaultPlan::synthesize(0.8, 3, &ids(0..3), &ids(3..5), SimDuration::from_secs(200));
-        let mapped = plan.remap(|n| (n.0 != 1).then_some(NodeId(n.0 + 100)));
-        assert!(!mapped.bs_crashes.contains_key(&NodeId(101)));
-        for n in mapped.bs_crashes.keys().chain(mapped.wired_outages.keys()) {
-            assert!(n.0 >= 100, "ids rewritten");
-        }
-        for p in &mapped.bp_partitions {
-            assert!(p.severed.iter().all(|n| n.0 >= 100 && n.0 != 101));
-        }
-    }
-
-    #[test]
-    fn remap_keeps_one_sided_partitions_and_drops_empty_ones() {
-        // A partition severing {0, 1}, remapped through a subset map that
-        // keeps 0, 2 and drops 1: the half-mapped entry must survive
-        // one-sided, because survivor 0 is still cut off from survivor 2.
-        let window = Window {
-            start: SimTime::from_secs(5),
-            end: SimTime::from_secs(10),
-        };
-        let mut plan = FaultPlan::default();
-        plan.bp_partitions.push(Partition {
-            window,
-            severed: [NodeId(0), NodeId(1)].into_iter().collect(),
-        });
-        let t = SimTime::from_secs(7);
-
-        let keep = |n: NodeId| (n.0 != 1).then_some(NodeId(n.0 + 100));
-        let half = plan.remap(keep);
-        assert_eq!(half.bp_partitions.len(), 1, "half-mapped entry survives");
-        assert_eq!(
-            half.bp_partitions[0].severed,
-            [NodeId(100)].into_iter().collect::<BTreeSet<_>>()
-        );
-        assert!(
-            half.partitioned(NodeId(100), NodeId(102), t),
-            "surviving severed BS stays cut off from surviving unsevered node"
-        );
-        assert!(
-            !half.partitioned(NodeId(102), NodeId(103), t),
-            "unsevered survivors stay connected"
-        );
-
-        // Both severed nodes survive: still partitioned from outsiders,
-        // still on the same side as each other.
-        let all = plan.remap(|n| Some(NodeId(n.0 + 100)));
-        assert!(all.partitioned(NodeId(100), NodeId(102), t));
-        assert!(!all.partitioned(NodeId(100), NodeId(101), t), "same side");
-
-        // No severed node survives: the entry is dropped — all survivors
-        // sit on the unsevered side together, so nothing is partitioned.
-        let none = plan.remap(|n| (n.0 >= 2).then_some(NodeId(n.0 + 100)));
-        assert!(none.bp_partitions.is_empty(), "fully-unmapped cut drops");
-        assert!(!none.partitioned(NodeId(102), NodeId(103), t));
-
-        // Spikes have no node ids and always survive a remap unchanged.
-        let mut spiked = FaultPlan::default();
-        spiked.bp_spikes.push(Spike {
-            window,
-            extra_latency: SimDuration::from_millis(40),
-            loss: 0.3,
-        });
-        assert_eq!(spiked.remap(|_| None).bp_spikes, spiked.bp_spikes);
-    }
-
     proptest! {
-        /// The pinned `remap` contract: for every query and every pair of
-        /// *surviving* nodes, the remapped plan answers exactly as the
-        /// original plan did — remap commutes with the query layer. This
-        /// is the property that makes per-subset re-densified runs
-        /// faithful to the fleet-level fault schedule (half-mapped
-        /// partitions included).
-        #[test]
-        fn remap_commutes_with_every_query(
-            seed in 0u64..1_000_000,
-            intensity in 0.3f64..1.0,
-            horizon_s in 50u64..1000,
-            keep_mask in 1u32..512,
-            probe_s in 0u64..1000,
-        ) {
-            let bs = ids(0..5);
-            let veh = ids(5..9);
-            let h = SimDuration::from_secs(horizon_s);
-            let plan = FaultPlan::synthesize(intensity, seed, &bs, &veh, h);
-            // An injective re-densifying subset map, like the micro-shard
-            // decomposition uses: surviving ids are renumbered in order.
-            let survivors: Vec<NodeId> = (0u32..9)
-                .filter(|i| keep_mask & (1 << i) != 0)
-                .map(NodeId)
-                .collect();
-            let dense = |n: NodeId| {
-                survivors
-                    .iter()
-                    .position(|&s| s == n)
-                    .map(|i| NodeId(i as u32))
-            };
-            let mapped = plan.remap(dense);
-            let t = SimTime::from_secs(probe_s);
-            for &a in &survivors {
-                let fa = dense(a).unwrap();
-                prop_assert_eq!(mapped.bs_down(fa, t), plan.bs_down(a, t));
-                prop_assert_eq!(
-                    mapped.beacon_suppressed(fa, t),
-                    plan.beacon_suppressed(a, t)
-                );
-                prop_assert_eq!(mapped.wired_out(fa, t), plan.wired_out(a, t));
-                prop_assert_eq!(mapped.crash_windows(fa), plan.crash_windows(a));
-                for &b in &survivors {
-                    let fb = dense(b).unwrap();
-                    prop_assert_eq!(
-                        mapped.partitioned(fa, fb, t),
-                        plan.partitioned(a, b, t),
-                        "partition answer changed for surviving pair {:?},{:?}", a, b
-                    );
-                }
-            }
-            // Spikes are global: identical in force at every instant.
-            prop_assert_eq!(mapped.spike_at(t), plan.spike_at(t));
-        }
-
         /// Per-seed determinism: the same inputs always synthesize the
         /// same plan.
         #[test]

@@ -25,7 +25,7 @@
 //! `(config, seed, schedule)` — never of the partition or of how many
 //! worker threads execute it. `shards = 1` is literally the same machine
 //! with one shard; that is the bit-identity `tests/shard_equivalence.rs`
-//! pins for `ShardMode::Coupled`.
+//! pins at every shard and worker count.
 //!
 //! Relative to the pre-PR-5 per-event loop this changes the observable
 //! semantics in one bounded way: a frame requested during an epoch airs
@@ -356,9 +356,6 @@ pub(crate) struct EngineSetup {
     /// run is flat.
     pub clusters: Vec<Vec<NodeId>>,
     pub partition: EnginePartition,
-    /// Base scheduler-shard id (micro-shards of an Independent run stamp
-    /// their queues so timer tokens stay distinct across sub-runs).
-    pub base_shard_id: u32,
     /// Worker threads to execute the shards on (clamped to shard count).
     pub workers: usize,
 }
@@ -457,7 +454,6 @@ impl Engine {
             hierarchy,
             clusters,
             partition,
-            base_shard_id,
             workers,
         } = setup;
         assert!(!vehicles.is_empty() && !bs_ids.is_empty());
@@ -539,7 +535,7 @@ impl Engine {
             }
             shards.push(Mutex::new(Shard {
                 nodes,
-                sched: Scheduler::with_shard(base_shard_id + s as u32),
+                sched: Scheduler::new(),
                 cells,
                 link: link_factory(),
                 tx_requests: Vec::new(),

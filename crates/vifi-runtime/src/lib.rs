@@ -56,22 +56,13 @@
 //!
 //! ## Sharded runs
 //!
-//! Large fleet runs shard across cores with [`RunConfig::shards`],
-//! [`RunConfig::shard_mode`] and [`Simulation::run_sharded`], two ways:
-//!
-//! * [`ShardMode::Independent`] (default) decomposes by vehicle, each
-//!   simulated against the full infrastructure under an RNG stream keyed
-//!   by `(run_seed, vehicle)`; outcomes merge deterministically in
-//!   vehicle order and are bit-identical for every shard count `>= 2` —
-//!   but cross-vehicle contention is dropped.
-//! * [`ShardMode::Coupled`] splits the *one* coupled run across shards on
-//!   the epoch-synchronized engine, preserving the shared medium; the
-//!   result is bit-identical to the sequential `shards = 1` run at every
-//!   shard and worker count.
-//!
-//! [`RunOutcome::fingerprint`] is the equality the equivalence suite
-//! asserts for both claims. See [`sim`]'s module docs for when each mode
-//! is valid.
+//! Large fleet runs shard across cores with [`RunConfig::shards`] and
+//! [`Simulation::run_sharded`]: the epoch-synchronized engine splits the
+//! *one* coupled run across shards, preserving the shared medium, and the
+//! result is bit-identical to the sequential [`Simulation::run`] at every
+//! shard and worker count. `shards` is an execution knob, never a model
+//! switch. [`RunOutcome::fingerprint`] is the equality the equivalence
+//! suite asserts; see [`sim`]'s module docs for how shards are planned.
 //!
 //! ```
 //! use vifi_runtime::{RunConfig, Simulation, WorkloadSpec};
@@ -83,12 +74,13 @@
 //!     fleet_workloads: vec![WorkloadSpec::paper_cbr()],
 //!     duration: SimDuration::from_secs(10),
 //!     seed: 7,
-//!     shards: 2,
 //!     ..RunConfig::default()
 //! };
-//! let a = Simulation::run_sharded(&scenario, cfg.clone());
-//! let b = Simulation::run_sharded(&scenario, RunConfig { shards: 4, ..cfg });
-//! assert_eq!(a.fingerprint(), b.fingerprint(), "invariant to shard count");
+//! let sequential = Simulation::deployment(&scenario, cfg.clone()).run();
+//! for shards in [2, 4] {
+//!     let sharded = Simulation::run_sharded(&scenario, RunConfig { shards, ..cfg.clone() });
+//!     assert_eq!(sharded.fingerprint(), sequential.fingerprint(), "shards = {shards}");
+//! }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -107,6 +99,6 @@ pub use fingerprint::{Fingerprint, Fingerprintable};
 pub use logging::{LogSink, PerfectRelayOutcome, RunLog, Table1, Table2Row};
 pub use sim::{
     plan_shards, FaultStats, RunConfig, RunOutcome, ShardAssignment, ShardMode, ShardPlan,
-    ShardTiming, Simulation, VehicleOutcome,
+    Simulation, VehicleOutcome,
 };
 pub use workload::{aggregate_cbr, CbrStats, TcpStats, VoipStats, WorkloadReport, WorkloadSpec};

@@ -197,41 +197,6 @@ impl RunLog {
         }
     }
 
-    /// Rewrite every node id in the log through `f` (packet origins, aux
-    /// sets, relay decisions, relay fates). Sharded runs simulate each
-    /// vehicle in a re-densified sub-scenario; this maps the instrumented
-    /// shard's log back into the parent scenario's id space so merged
-    /// outcomes read like sequential ones. The internal per-id record
-    /// index is rebuilt because packet ids embed their origin node.
-    pub fn remap_nodes(&mut self, f: impl Fn(NodeId) -> NodeId) {
-        for r in &mut self.records {
-            r.id.origin = f(r.id.origin);
-            for n in r
-                .aux_set
-                .iter_mut()
-                .chain(r.aux_heard.iter_mut())
-                .chain(r.ack_heard_by.iter_mut())
-            {
-                *n = f(*n);
-            }
-            for d in &mut r.decisions {
-                d.0 = f(d.0);
-            }
-            for fate in &mut r.relays {
-                fate.by = f(fate.by);
-            }
-        }
-        let remapped: HashMap<PacketId, Vec<usize>> = self
-            .by_id
-            .drain()
-            .map(|(mut id, idx)| {
-                id.origin = f(id.origin);
-                (id, idx)
-            })
-            .collect();
-        self.by_id = remapped;
-    }
-
     fn dir_records(&self, dir: Direction) -> impl Iterator<Item = &TxRecord> {
         self.records.iter().filter(move |r| r.dir == dir)
     }

@@ -13,8 +13,8 @@
 //! writes — cross at epoch barriers in canonically sorted batches. The
 //! engine is the *same machine at every shard count*: `shards = 1` (the
 //! default, and [`Simulation::run`]) is one shard on the calling thread,
-//! and [`ShardMode::Coupled`] splits the same run across worker threads
-//! with bit-identical results. Epoch boundaries come from an
+//! and `shards >= 2` splits the same run across worker threads with
+//! bit-identical results. Epoch boundaries come from an
 //! [`vifi_sim::EpochSchedule`] whose lookahead is derived from
 //! [`Scenario::contact_windows`]-style activity analysis plus the beacon
 //! period: while the whole fleet is out of radio contact, shards run free
@@ -35,27 +35,16 @@
 //! ## Sharded runs
 //!
 //! A single large fleet run can be sharded across cores with
-//! [`RunConfig::shards`] + [`RunConfig::shard_mode`] and
-//! [`Simulation::run_sharded`]. Two modes:
-//!
-//! * [`ShardMode::Independent`] (PR 4's decomposition, the default): each
-//!   instrumented vehicle is simulated in its own sub-run against the
-//!   full basestation infrastructure, keyed by `(run_seed, vehicle)`;
-//!   outcomes merge deterministically and are invariant to the shard
-//!   count — but cross-vehicle channel contention and background
-//!   occupants are dropped. Fast, embarrassingly parallel, and only valid
-//!   when contention between fleet members is not the thing measured.
-//! * [`ShardMode::Coupled`]: the epoch engine splits the *one* coupled
-//!   run across shards — vehicles partitioned by contact load
-//!   ([`Scenario::shard_partition_by_contact`]), basestations by
-//!   contact-seconds ([`Scenario::bs_contact_seconds`]) — and the merged
-//!   [`RunOutcome`] is **bit-identical to the sequential `shards = 1`
-//!   run** at every shard and worker count (`tests/shard_equivalence.rs`
-//!   enforces it). Slower per event than Independent, but the numbers
-//!   keep the paper's full contention physics.
+//! [`RunConfig::shards`] and [`Simulation::run_sharded`]. The epoch engine
+//! splits the *one* coupled run across shards — vehicles partitioned by
+//! contact load ([`Scenario::shard_partition_by_contact`]), basestations
+//! by contact-seconds ([`Scenario::bs_contact_seconds`]) — and the merged
+//! [`RunOutcome`] is **bit-identical to the sequential `shards = 1` run**
+//! at every shard and worker count (`tests/shard_equivalence.rs` enforces
+//! it). `shards` is a pure execution knob: it changes how a run is
+//! executed, never what it computes.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 use vifi_core::VifiConfig;
 use vifi_faults::{ChannelOverrides, FaultPlan};
@@ -70,18 +59,15 @@ use crate::fingerprint::{Fingerprint, Fingerprintable};
 use crate::logging::RunLog;
 use crate::workload::{WorkloadReport, WorkloadSpec};
 
-/// How [`Simulation::run_sharded`] decomposes a run when
-/// [`RunConfig::shards`] is at least 2. See the module docs for the
-/// semantics of each mode; `shards = 1` ignores the mode and runs the
-/// sequential coupled loop.
+/// How [`Simulation::run_sharded`] decomposes a run. There is one
+/// decomposition: the coupled run split across shards of the
+/// epoch-synchronized engine, bit-identical to `shards = 1`. The type
+/// remains so configs that name it keep compiling; it selects nothing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ShardMode {
-    /// Per-vehicle sub-runs against replicated infrastructure; drops
-    /// cross-vehicle contention (PR 4 semantics, the historical default).
-    #[default]
-    Independent,
     /// One coupled run on the epoch-synchronized engine; preserves the
     /// shared medium and is bit-identical to `shards = 1`.
+    #[default]
     Coupled,
 }
 
@@ -110,21 +96,23 @@ pub struct RunConfig {
     /// Note: VoIP runs should keep this 0 — the VoIP scorer adds the
     /// paper's fixed 40 ms wired budget itself (§5.3.2).
     pub wired_delay: SimDuration,
-    /// Execution sharding for [`Simulation::run_sharded`]. `1` (the
-    /// default) is the sequential coupled run — `run_sharded` and
-    /// [`Simulation::run`] are then the same path. `>= 2` decomposes the
-    /// run per [`RunConfig::shard_mode`] (`0` = one shard per available
-    /// core, floored at two so the choice of semantics never depends on
-    /// the host). Ignored by plain [`Simulation::run`].
+    /// Execution sharding for [`Simulation::run_sharded`]: a pure
+    /// execution knob. `1` (the default) is the sequential coupled run —
+    /// `run_sharded` and [`Simulation::run`] are then the same path.
+    /// `>= 2` splits the same run across engine shards (`0` = one shard
+    /// per available core, floored at two so the code path never depends
+    /// on the host); the outcome is bit-identical at every count. Ignored
+    /// by plain [`Simulation::run`].
     pub shards: usize,
-    /// Decomposition semantics when `shards >= 2`; see [`ShardMode`].
+    /// No-op: [`ShardMode`] has a single variant. Kept so configs that
+    /// set it keep compiling.
     pub shard_mode: ShardMode,
     /// Seeded fault schedule (basestation crashes, beacon suppression,
     /// backplane partitions/spikes, wired outages). Empty (the default)
     /// means an unfaulted run — bit-identical to a config predating the
     /// field. Fault events are applied at canonical points of the epoch
-    /// engine, so a faulted outcome is invariant to [`ShardMode`], shard
-    /// count and worker count exactly like an unfaulted one.
+    /// engine, so a faulted outcome is invariant to shard count and
+    /// worker count exactly like an unfaulted one.
     pub faults: FaultPlan,
     /// Scenario-level channel-process overrides (gray-period and
     /// Gilbert–Elliott parameters). `None`s (the default) keep the radio
@@ -157,7 +145,7 @@ impl Default for RunConfig {
             backplane: BackplaneParams::default(),
             wired_delay: SimDuration::from_millis(10),
             shards: 1,
-            shard_mode: ShardMode::Independent,
+            shard_mode: ShardMode::Coupled,
             faults: FaultPlan::default(),
             channel: ChannelOverrides::default(),
             flat_epochs: false,
@@ -287,7 +275,6 @@ enum SimKind {
 pub struct Simulation {
     cfg: RunConfig,
     kind: SimKind,
-    base_shard_id: u32,
 }
 
 impl Simulation {
@@ -296,20 +283,12 @@ impl Simulation {
     /// protocol (beacons, anchoring) as background occupants of the
     /// channel.
     pub fn deployment(scenario: &Scenario, cfg: RunConfig) -> Self {
-        Self::deployment_shard(scenario, cfg, 0)
-    }
-
-    /// Deployment mode under a specific scheduler shard id (Independent
-    /// sub-runs tag their event queues so timer tokens are distinct
-    /// across shards; the id itself never changes simulation results).
-    fn deployment_shard(scenario: &Scenario, cfg: RunConfig, shard: u32) -> Self {
         scenario.validate();
         Simulation {
             cfg,
             kind: SimKind::Deployment {
                 scenario: scenario.clone(),
             },
-            base_shard_id: shard,
         }
     }
 
@@ -320,7 +299,6 @@ impl Simulation {
             kind: SimKind::Trace {
                 trace: trace.clone(),
             },
-            base_shard_id: 0,
         }
     }
 
@@ -387,7 +365,6 @@ impl Simulation {
                     hierarchy,
                     clusters,
                     partition,
-                    base_shard_id: self.base_shard_id,
                     workers,
                     cfg,
                 }
@@ -425,7 +402,6 @@ impl Simulation {
                     hierarchy: None,
                     clusters: Vec::new(),
                     partition,
-                    base_shard_id: self.base_shard_id,
                     workers,
                     cfg,
                 }
@@ -452,7 +428,7 @@ impl Simulation {
 
     /// Run to completion and produce the outcome: the epoch engine with a
     /// single shard on the calling thread — the sequential coupled run
-    /// every sharded mode is measured against.
+    /// every sharded run is measured against.
     pub fn run(self) -> RunOutcome {
         let partition = EnginePartition::single(self.all_nodes());
         let setup = self.engine_setup(partition, 1);
@@ -464,57 +440,29 @@ impl Simulation {
 // Sharded execution
 // ---------------------------------------------------------------------
 
-/// One shard of a sharded run: the disjoint node set it owns. For
-/// [`ShardMode::Independent`] only `vehicles` is populated (each vehicle
-/// becomes its own sub-run, `basestations` is empty because the
-/// infrastructure is replicated); for [`ShardMode::Coupled`] the shard
-/// owns its vehicles *and* an exclusive slice of the basestations.
+/// One shard of a sharded run: the disjoint node set it owns — its
+/// vehicles *and* an exclusive slice of the basestations.
 #[derive(Clone, Debug)]
 pub struct ShardAssignment {
-    /// Shard identity (also stamped into the shard's timer tokens).
-    pub shard_id: u32,
-    /// `(fleet_index, vehicle)` pairs owned by this shard; `fleet_index`
-    /// is the vehicle's position in [`Scenario::vehicle_ids`] order.
-    pub vehicles: Vec<(usize, NodeId)>,
-    /// Basestations owned by this shard (coupled mode only): every BS is
-    /// owned by exactly one shard, balanced by contact-seconds.
+    /// Vehicles owned by this shard.
+    pub vehicles: Vec<NodeId>,
+    /// Basestations owned by this shard: every BS is owned by exactly one
+    /// shard, balanced by contact-seconds.
     pub basestations: Vec<NodeId>,
 }
 
 /// The deterministic execution plan of a sharded run.
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
-    /// One assignment per shard (trailing shards may be empty when the
-    /// shard count exceeds the instrumented-vehicle count).
+    /// One assignment per shard, in shard order (trailing shards may be
+    /// empty when the shard count exceeds the node count).
     pub assignments: Vec<ShardAssignment>,
 }
 
-impl ShardPlan {
-    /// Total vehicles across all assignments.
-    pub fn vehicles(&self) -> usize {
-        self.assignments.iter().map(|a| a.vehicles.len()).sum()
-    }
-}
-
-/// Wall-clock accounting of one shard of a sharded run: how long the
-/// shard's work took on its worker. The maximum across shards is the
-/// run's critical path — the wall-clock it needs when every shard has
-/// its own core. (Coupled runs additionally spend serial coordinator
-/// time at the barriers; [`Simulation::run_coupled_timed`] reports it.)
-#[derive(Clone, Debug)]
-pub struct ShardTiming {
-    /// Which shard.
-    pub shard_id: u32,
-    /// How many vehicles the shard simulated.
-    pub vehicles: usize,
-    /// Wall-clock the shard spent simulating them.
-    pub wall: Duration,
-}
-
 /// Resolve the configured shard count: `0` means one shard per available
-/// core, floored at two so `0` always selects the *decomposed* execution
-/// — were a single-core host to resolve to `1`, the same config would
-/// pick a different code path on different machines.
+/// core, floored at two so `0` always selects the sharded execution —
+/// were a single-core host to resolve to `1`, the same config would take
+/// a different code path on different machines.
 fn resolve_shards(shards: usize) -> usize {
     if shards == 0 {
         std::thread::available_parallelism()
@@ -526,17 +474,11 @@ fn resolve_shards(shards: usize) -> usize {
     }
 }
 
-/// Build the deterministic shard plan for `(scenario, cfg)`.
-///
-/// [`ShardMode::Independent`]: the instrumented vehicles (every vehicle
-/// in fleet mode, the first vehicle otherwise) partitioned round-robin by
-/// [`Scenario::shard_partition`]; basestations are not assigned (each
-/// sub-run replicates them).
-///
-/// [`ShardMode::Coupled`]: *all* vehicles (background occupants too — the
-/// coupled engine simulates the whole scenario) partitioned by contact
-/// load ([`Scenario::shard_partition_by_contact`]), plus every
-/// basestation assigned to exactly one shard, heaviest-first by
+/// Build the deterministic shard plan for `(scenario, cfg)`: *all*
+/// vehicles (background occupants too — the engine simulates the whole
+/// scenario) partitioned by contact load
+/// ([`Scenario::shard_partition_by_contact`]), plus every basestation
+/// assigned to exactly one shard, heaviest-first by
 /// [`Scenario::bs_contact_seconds`] onto the lightest shard. A pure
 /// function of its inputs; and since the engine's outcome is invariant to
 /// the partition, the assignment is purely a load-balancing choice.
@@ -552,71 +494,37 @@ fn resolve_shards(shards: usize) -> usize {
 /// no cluster straddles a shard boundary needlessly.
 pub fn plan_shards(scenario: &Scenario, cfg: &RunConfig) -> ShardPlan {
     let shards = resolve_shards(cfg.shards).max(1);
-    let fleet_index: HashMap<NodeId, usize> = scenario
-        .vehicle_ids()
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (v, i))
-        .collect();
-    match cfg.shard_mode {
-        ShardMode::Independent => {
-            let groups: Vec<Vec<NodeId>> = if cfg.fleet_workloads.is_empty() {
-                // Non-fleet mode instruments only the first vehicle; the
-                // rest of the partition stays empty.
-                let mut groups = vec![Vec::new(); shards];
-                groups[0].push(scenario.vehicle_ids()[0]);
-                groups
-            } else {
-                scenario.shard_partition(shards)
-            };
-            ShardPlan {
-                assignments: groups
-                    .into_iter()
-                    .enumerate()
-                    .map(|(s, vehicles)| ShardAssignment {
-                        shard_id: s as u32,
-                        vehicles: vehicles.into_iter().map(|v| (fleet_index[&v], v)).collect(),
-                        basestations: Vec::new(),
-                    })
-                    .collect(),
-            }
-        }
-        ShardMode::Coupled => {
-            let link = scenario.build_link_model(&Rng::new(cfg.seed));
-            let clusters = if cfg.flat_epochs {
-                Vec::new()
-            } else {
-                scenario.contact_clusters(&link)
-            };
-            if clusters.len() >= 2 {
-                return plan_coupled_clustered(scenario, &link, &clusters, shards, &fleet_index);
-            }
-            let vgroups = scenario.shard_partition_by_contact(shards, &link, 0.1);
-            // Basestations: longest-processing-time by contact seconds.
-            let mut weights = scenario.bs_contact_seconds(&link, 0.1);
-            weights.sort_by_key(|&(bs, w)| (std::cmp::Reverse(w), bs));
-            let mut bs_groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
-            let mut loads = vec![0u64; shards];
-            for (bs, w) in weights {
-                let lightest = (0..shards)
-                    .min_by_key(|&s| (loads[s], s))
-                    .expect(">=1 shard");
-                loads[lightest] += w;
-                bs_groups[lightest].push(bs);
-            }
-            ShardPlan {
-                assignments: vgroups
-                    .into_iter()
-                    .zip(bs_groups)
-                    .enumerate()
-                    .map(|(s, (vehicles, basestations))| ShardAssignment {
-                        shard_id: s as u32,
-                        vehicles: vehicles.into_iter().map(|v| (fleet_index[&v], v)).collect(),
-                        basestations,
-                    })
-                    .collect(),
-            }
-        }
+    let link = scenario.build_link_model(&Rng::new(cfg.seed));
+    let clusters = if cfg.flat_epochs {
+        Vec::new()
+    } else {
+        scenario.contact_clusters(&link)
+    };
+    if clusters.len() >= 2 {
+        return plan_coupled_clustered(scenario, &link, &clusters, shards);
+    }
+    let vgroups = scenario.shard_partition_by_contact(shards, &link, 0.1);
+    // Basestations: longest-processing-time by contact seconds.
+    let mut weights = scenario.bs_contact_seconds(&link, 0.1);
+    weights.sort_by_key(|&(bs, w)| (std::cmp::Reverse(w), bs));
+    let mut bs_groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
+    let mut loads = vec![0u64; shards];
+    for (bs, w) in weights {
+        let lightest = (0..shards)
+            .min_by_key(|&s| (loads[s], s))
+            .expect(">=1 shard");
+        loads[lightest] += w;
+        bs_groups[lightest].push(bs);
+    }
+    ShardPlan {
+        assignments: vgroups
+            .into_iter()
+            .zip(bs_groups)
+            .map(|(vehicles, basestations)| ShardAssignment {
+                vehicles,
+                basestations,
+            })
+            .collect(),
     }
 }
 
@@ -632,7 +540,6 @@ fn plan_coupled_clustered(
     link: &PhysicalLinkModel,
     clusters: &[Vec<NodeId>],
     shards: usize,
-    fleet_index: &HashMap<NodeId, usize>,
 ) -> ShardPlan {
     // Per-node contact weights — the same load proxies the flat planner
     // uses (vehicle contact seconds, BS contact seconds).
@@ -705,7 +612,7 @@ fn plan_coupled_clustered(
     }
     // Within each cluster: vehicles LPT across the cluster's shards, BSes
     // LPT independently (mirroring the flat planner's separate ledgers).
-    let mut vehicles_of: Vec<Vec<(usize, NodeId)>> = vec![Vec::new(); shards];
+    let mut vehicles_of: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
     let mut bs_of: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
     for (c, (mut vs, mut bs)) in members.into_iter().enumerate() {
         let hosts = &host[c];
@@ -716,7 +623,7 @@ fn plan_coupled_clustered(
                 .min_by_key(|&k| (loads[k], k))
                 .expect("cluster hosts at least one shard");
             loads[k] += w;
-            vehicles_of[hosts[k]].push((fleet_index[&v], v));
+            vehicles_of[hosts[k]].push(v);
         }
         bs.sort_by_key(|&(w, b)| (std::cmp::Reverse(w), b));
         let mut loads = vec![0u64; hosts.len()];
@@ -729,177 +636,30 @@ fn plan_coupled_clustered(
         }
     }
     ShardPlan {
-        assignments: (0..shards)
-            .map(|s| ShardAssignment {
-                shard_id: s as u32,
-                vehicles: std::mem::take(&mut vehicles_of[s]),
-                basestations: std::mem::take(&mut bs_of[s]),
+        assignments: vehicles_of
+            .into_iter()
+            .zip(bs_of)
+            .map(|(vehicles, basestations)| ShardAssignment {
+                vehicles,
+                basestations,
             })
             .collect(),
     }
 }
 
-/// The seed of one vehicle's Independent sub-run. The partition unit is
-/// the vehicle, so streams are keyed by `(run_seed, vehicle)` — never by
-/// the shard count — which is what makes Independent outcomes invariant
-/// to how many workers execute the plan. Fleet index 0 keeps the run
-/// seed itself, so a single-vehicle scenario's sharded run replays the
-/// sequential run bit-for-bit.
-fn micro_shard_seed(seed: u64, fleet_index: usize, vehicle: NodeId) -> u64 {
-    if fleet_index == 0 {
-        seed
-    } else {
-        Rng::new(seed)
-            .fork_named("shard")
-            .fork(vehicle.label())
-            .next_u64()
-    }
-}
-
-/// Run one vehicle's Independent sub-run: restrict the scenario to the
-/// vehicle plus the full infrastructure, run it under its derived seed,
-/// and remap the outcome back into the parent scenario's node-id space.
-fn run_micro_shard(
-    scenario: &Scenario,
-    cfg: &RunConfig,
-    fleet_index: usize,
-    vehicle: NodeId,
-    shard_id: u32,
-) -> RunOutcome {
-    let (sub, mapping) = scenario.with_vehicle_subset(&[vehicle]);
-    // Forward-map the fault plan into the sub-scenario's id space; faults
-    // aimed at vehicles outside this micro-shard drop out.
-    let forward: HashMap<NodeId, NodeId> = mapping.iter().copied().collect();
-    let sub_faults = cfg.faults.remap(|n| forward.get(&n).copied());
-    let sub_cfg = RunConfig {
-        vifi: cfg.vifi.clone(),
-        workload: cfg.workload.clone(),
-        fleet_workloads: if cfg.fleet_workloads.is_empty() {
-            Vec::new()
-        } else {
-            vec![cfg.fleet_workloads[fleet_index % cfg.fleet_workloads.len()].clone()]
-        },
-        duration: cfg.duration,
-        seed: micro_shard_seed(cfg.seed, fleet_index, vehicle),
-        mac: cfg.mac,
-        backplane: cfg.backplane,
-        wired_delay: cfg.wired_delay,
-        shards: 1,
-        shard_mode: cfg.shard_mode,
-        faults: sub_faults,
-        channel: cfg.channel,
-        flat_epochs: cfg.flat_epochs,
-    };
-    let mut out = Simulation::deployment_shard(&sub, sub_cfg, shard_id).run();
-    // Map sub-scenario ids back to the parent's (identity whenever the
-    // scenario lists basestations before vehicles, but never assumed).
-    let back: HashMap<NodeId, NodeId> = mapping.into_iter().map(|(old, new)| (new, old)).collect();
-    let remap = |n: NodeId| *back.get(&n).unwrap_or(&n);
-    out.log.remap_nodes(remap);
-    for v in &mut out.vehicles {
-        v.vehicle = remap(v.vehicle);
-    }
-    out
-}
-
-/// Deterministically merge per-vehicle Independent outcomes (paired with
-/// their fleet index) into one [`RunOutcome`]: vehicles in fleet order,
-/// counters summed, the packet log and primary report taken from the
-/// first vehicle — the same shape a sequential fleet run produces.
-fn merge_shard_outcomes(mut parts: Vec<(usize, RunOutcome)>) -> RunOutcome {
-    assert!(!parts.is_empty(), "sharded run produced no outcomes");
-    parts.sort_by_key(|&(fleet_index, _)| fleet_index);
-    assert_eq!(parts[0].0, 0, "fleet index 0 must be present");
-    let mut vehicles = Vec::with_capacity(parts.len());
-    let mut unroutable_down = 0;
-    let mut salvaged = 0;
-    let mut events = 0;
-    let mut frames_tx = 0;
-    let mut faults = FaultStats::default();
-    let mut log = None;
-    for (fleet_index, part) in parts {
-        debug_assert_eq!(part.vehicles.len(), 1, "micro-shards host one vehicle");
-        unroutable_down += part.unroutable_down;
-        salvaged += part.salvaged;
-        events += part.events;
-        frames_tx += part.frames_tx;
-        faults.absorb(&part.faults);
-        if fleet_index == 0 {
-            log = Some(part.log);
-        }
-        vehicles.extend(part.vehicles);
-    }
-    RunOutcome {
-        report: vehicles[0].report.clone(),
-        anchor_switches: vehicles[0].anchor_switches,
-        unroutable_down,
-        vehicles,
-        salvaged,
-        events,
-        frames_tx,
-        faults,
-        log: log.expect("fleet index 0 carries the packet log"),
-    }
-}
-
 impl Simulation {
     /// Run `(scenario, cfg)` sharded across up to [`RunConfig::shards`]
-    /// worker threads and return the merged outcome. `shards <= 1` is the
-    /// sequential coupled [`Simulation::run`]; `shards >= 2` decomposes
-    /// per [`RunConfig::shard_mode`] — see the module docs.
+    /// worker threads and return the merged outcome — bit-identical to
+    /// the sequential [`Simulation::run`] at every shard count, which is
+    /// also what `shards <= 1` takes directly.
     pub fn run_sharded(scenario: &Scenario, cfg: RunConfig) -> RunOutcome {
-        Self::run_sharded_timed(scenario, cfg).0
+        if resolve_shards(cfg.shards) <= 1 {
+            return Simulation::deployment(scenario, cfg).run();
+        }
+        Self::run_coupled_timed(scenario, cfg, None).0
     }
 
-    /// [`Simulation::run_sharded`], also returning per-shard wall-clock
-    /// accounting (one [`ShardTiming`] per non-empty shard; a single
-    /// entry for the sequential `shards <= 1` path). Worker threads are
-    /// capped at the host's available parallelism — extra shards queue on
-    /// the workers rather than oversubscribing cores, so each shard's
-    /// wall-clock measures its own work, not its neighbours' timeslices.
-    /// Coupled-mode timings exclude the serial coordinator share; use
-    /// [`Simulation::run_coupled_timed`] for the full breakdown.
-    pub fn run_sharded_timed(
-        scenario: &Scenario,
-        cfg: RunConfig,
-    ) -> (RunOutcome, Vec<ShardTiming>) {
-        let shards = resolve_shards(cfg.shards);
-        if shards <= 1 {
-            let instrumented = if cfg.fleet_workloads.is_empty() {
-                1
-            } else {
-                scenario.vehicle_ids().len()
-            };
-            let start = Instant::now();
-            let out = Simulation::deployment(scenario, cfg).run();
-            let timing = vec![ShardTiming {
-                shard_id: 0,
-                vehicles: instrumented,
-                wall: start.elapsed(),
-            }];
-            return (out, timing);
-        }
-        match cfg.shard_mode {
-            ShardMode::Independent => Self::run_independent_timed(scenario, cfg),
-            ShardMode::Coupled => {
-                let plan = plan_shards(scenario, &cfg);
-                let (out, timing) = Self::run_coupled_planned(scenario, cfg, None, &plan);
-                let timings = plan
-                    .assignments
-                    .iter()
-                    .zip(&timing.per_shard)
-                    .map(|(a, &wall)| ShardTiming {
-                        shard_id: a.shard_id,
-                        vehicles: a.vehicles.len(),
-                        wall,
-                    })
-                    .collect();
-                (out, timings)
-            }
-        }
-    }
-
-    /// Run one coupled sharded experiment, returning the outcome plus the
+    /// Run one sharded experiment, returning the outcome plus the
     /// engine's wall-clock breakdown (per-shard epoch work and the serial
     /// coordinator share). `workers` overrides the worker-thread count —
     /// `Some(1)` executes every shard on the calling thread, which is how
@@ -912,30 +672,13 @@ impl Simulation {
         cfg: RunConfig,
         workers: Option<usize>,
     ) -> (RunOutcome, CoupledTiming) {
-        let cfg = RunConfig {
-            shard_mode: ShardMode::Coupled,
-            ..cfg
-        };
         let plan = plan_shards(scenario, &cfg);
-        Self::run_coupled_planned(scenario, cfg, workers, &plan)
-    }
-
-    /// [`Simulation::run_coupled_timed`] with an already-computed plan —
-    /// the planner's contact analysis is not free, so callers that
-    /// needed the plan anyway (e.g. [`Simulation::run_sharded_timed`])
-    /// pass it in instead of replanning.
-    fn run_coupled_planned(
-        scenario: &Scenario,
-        cfg: RunConfig,
-        workers: Option<usize>,
-        plan: &ShardPlan,
-    ) -> (RunOutcome, CoupledTiming) {
         let partition = EnginePartition {
             lanes: plan
                 .assignments
                 .iter()
                 .map(|a| {
-                    let mut lane: Vec<NodeId> = a.vehicles.iter().map(|&(_, v)| v).collect();
+                    let mut lane = a.vehicles.clone();
                     lane.extend(a.basestations.iter().copied());
                     lane
                 })
@@ -952,96 +695,6 @@ impl Simulation {
         let sim = Simulation::deployment(scenario, cfg);
         let setup = sim.engine_setup(partition, workers);
         engine::run(setup)
-    }
-
-    /// The Independent-mode parallel executor (PR 4 semantics).
-    fn run_independent_timed(
-        scenario: &Scenario,
-        cfg: RunConfig,
-    ) -> (RunOutcome, Vec<ShardTiming>) {
-        let plan = plan_shards(scenario, &cfg);
-        let busy: Vec<&ShardAssignment> = plan
-            .assignments
-            .iter()
-            .filter(|a| !a.vehicles.is_empty())
-            .collect();
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(busy.len())
-            .max(1);
-        let cfg = &cfg;
-        let mut merged: Vec<(usize, RunOutcome)> = Vec::new();
-        let mut timings: Vec<ShardTiming> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let busy = &busy;
-                    s.spawn(move || {
-                        let mut parts: Vec<(usize, RunOutcome)> = Vec::new();
-                        let mut timings: Vec<ShardTiming> = Vec::new();
-                        let mut i = w;
-                        while i < busy.len() {
-                            let a = busy[i];
-                            let start = Instant::now();
-                            for &(fleet_index, vehicle) in &a.vehicles {
-                                parts.push((
-                                    fleet_index,
-                                    run_micro_shard(
-                                        scenario,
-                                        cfg,
-                                        fleet_index,
-                                        vehicle,
-                                        a.shard_id,
-                                    ),
-                                ));
-                            }
-                            timings.push(ShardTiming {
-                                shard_id: a.shard_id,
-                                vehicles: a.vehicles.len(),
-                                wall: start.elapsed(),
-                            });
-                            i += workers;
-                        }
-                        (parts, timings)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (parts, t) = h.join().expect("shard worker panicked");
-                merged.extend(parts);
-                timings.extend(t);
-            }
-        });
-        timings.sort_by_key(|t| t.shard_id);
-        (merge_shard_outcomes(merged), timings)
-    }
-
-    /// The sequential reference path of the Independent semantics:
-    /// execute the same per-vehicle decomposition as `shards >= 2`,
-    /// inline on the calling thread, in fleet order. `run_sharded` in
-    /// Independent mode with any shard count `>= 2` is bit-identical to
-    /// this — the equivalence suite pins the parallel executor against it.
-    pub fn run_sharded_sequential(scenario: &Scenario, cfg: RunConfig) -> RunOutcome {
-        let plan = plan_shards(
-            scenario,
-            &RunConfig {
-                shards: 1,
-                shard_mode: ShardMode::Independent,
-                ..cfg.clone()
-            },
-        );
-        let parts: Vec<(usize, RunOutcome)> = plan.assignments[0]
-            .vehicles
-            .iter()
-            .map(|&(fleet_index, vehicle)| {
-                (
-                    fleet_index,
-                    run_micro_shard(scenario, &cfg, fleet_index, vehicle, 0),
-                )
-            })
-            .collect();
-        merge_shard_outcomes(parts)
     }
 }
 
@@ -1360,40 +1013,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_partitions_instrumented_vehicles() {
-        let s = vanlan(1);
-        // Non-fleet Independent mode: one micro-shard (the instrumented
-        // vehicle).
-        let cfg = quick_cfg(WorkloadSpec::paper_cbr(), 10, 1);
-        let plan = plan_shards(&s, &RunConfig { shards: 4, ..cfg });
-        assert_eq!(plan.assignments.len(), 4);
-        assert_eq!(plan.vehicles(), 1);
-        assert_eq!(plan.assignments[0].vehicles, vec![(0, s.vehicle_ids()[0])]);
-        assert!(plan.assignments.iter().all(|a| a.basestations.is_empty()));
-        // Fleet mode: every vehicle, round-robin.
-        let s = vanlan(5);
-        let cfg = RunConfig {
-            fleet_workloads: vec![WorkloadSpec::paper_cbr()],
-            shards: 2,
-            ..quick_cfg(WorkloadSpec::Idle, 10, 1)
-        };
-        let plan = plan_shards(&s, &cfg);
-        assert_eq!(plan.vehicles(), 5);
-        let vs = s.vehicle_ids();
-        assert_eq!(
-            plan.assignments[0].vehicles,
-            vec![(0, vs[0]), (2, vs[2]), (4, vs[4])]
-        );
-        assert_eq!(plan.assignments[1].vehicles, vec![(1, vs[1]), (3, vs[3])]);
-    }
-
-    #[test]
     fn coupled_plan_covers_every_node_exactly_once() {
         let s = vanlan(4);
         let cfg = RunConfig {
             fleet_workloads: vec![WorkloadSpec::paper_cbr()],
             shards: 3,
-            shard_mode: ShardMode::Coupled,
             ..quick_cfg(WorkloadSpec::Idle, 10, 1)
         };
         let plan = plan_shards(&s, &cfg);
@@ -1401,7 +1025,7 @@ mod tests {
         let mut vehicles: Vec<NodeId> = plan
             .assignments
             .iter()
-            .flat_map(|a| a.vehicles.iter().map(|&(_, v)| v))
+            .flat_map(|a| a.vehicles.iter().copied())
             .collect();
         vehicles.sort_by_key(|n| n.index());
         assert_eq!(vehicles, s.vehicle_ids(), "all vehicles, background too");
@@ -1423,7 +1047,7 @@ mod tests {
     #[test]
     fn coupled_mode_is_bit_identical_to_sequential() {
         // The headline property, in miniature (the full grid lives in
-        // tests/shard_equivalence.rs): coupled sharded runs reproduce the
+        // tests/shard_equivalence.rs): sharded runs reproduce the
         // sequential coupled run bit for bit, at any worker count.
         let s = vanlan(2);
         let cfg = RunConfig {
@@ -1436,7 +1060,6 @@ mod tests {
                 &s,
                 RunConfig {
                     shards,
-                    shard_mode: ShardMode::Coupled,
                     ..cfg.clone()
                 },
             )
@@ -1458,8 +1081,8 @@ mod tests {
     #[test]
     fn single_vehicle_sharded_is_bit_identical_to_sequential() {
         // The paper's setup (one instrumented vehicle) under any shard
-        // count replays the sequential run exactly: the sub-scenario is
-        // the scenario and micro-shard 0 keeps the run seed.
+        // count replays the sequential run exactly, including shard
+        // counts that leave some shards without a vehicle.
         let s = vanlan(1);
         let cfg = quick_cfg(WorkloadSpec::paper_cbr(), 40, 9);
         let sequential = Simulation::deployment(&s, cfg.clone()).run();
@@ -1487,12 +1110,12 @@ mod tests {
             shards: 2,
             ..quick_cfg(WorkloadSpec::Idle, 30, 4)
         };
-        let (out, timings) = Simulation::run_sharded_timed(&s, cfg);
+        let out = Simulation::run_sharded(&s, cfg);
         assert_eq!(out.vehicles.len(), 3);
         let ids: Vec<NodeId> = out.vehicles.iter().map(|v| v.vehicle).collect();
         assert_eq!(ids, s.vehicle_ids(), "merged outcomes in vehicle order");
         // The primary report and switch counter mirror vehicle 0, counters
-        // sum across shards.
+        // sum across vehicles.
         assert_eq!(
             out.report.as_cbr().unwrap().total_delivered(),
             out.vehicles[0].report.as_cbr().unwrap().total_delivered()
@@ -1502,34 +1125,32 @@ mod tests {
             out.unroutable_down,
             out.vehicles.iter().map(|v| v.unroutable_down).sum::<u64>()
         );
-        // Two non-empty shards: 2 vehicles + 1 vehicle.
-        assert_eq!(timings.len(), 2);
-        assert_eq!(timings[0].vehicles + timings[1].vehicles, 3);
     }
 
     #[test]
     fn sharded_runs_are_invariant_to_shard_count() {
+        // Default-mode configs: `shards` is an execution knob, so every
+        // count reproduces the sequential `Simulation::run` of the same
+        // config.
         let s = vanlan(4);
-        let run = |shards| {
-            let cfg = RunConfig {
-                fleet_workloads: vec![WorkloadSpec::paper_cbr()],
-                shards,
-                ..quick_cfg(WorkloadSpec::Idle, 30, 6)
-            };
-            Simulation::run_sharded(&s, cfg).fingerprint()
+        let cfg = RunConfig {
+            fleet_workloads: vec![WorkloadSpec::paper_cbr()],
+            ..quick_cfg(WorkloadSpec::Idle, 30, 6)
         };
-        let sequential_plan = Simulation::run_sharded_sequential(
-            &s,
-            RunConfig {
-                fleet_workloads: vec![WorkloadSpec::paper_cbr()],
-                ..quick_cfg(WorkloadSpec::Idle, 30, 6)
-            },
-        )
-        .fingerprint();
-        let two = run(2);
-        assert_eq!(two, run(3));
-        assert_eq!(two, run(8), "more shards than vehicles");
-        assert_eq!(two, sequential_plan, "parallel == sequential plan");
+        let run = |shards| {
+            Simulation::run_sharded(
+                &s,
+                RunConfig {
+                    shards,
+                    ..cfg.clone()
+                },
+            )
+            .fingerprint()
+        };
+        let sequential = Simulation::deployment(&s, cfg.clone()).run().fingerprint();
+        assert_eq!(run(2), sequential, "parallel == sequential run");
+        assert_eq!(run(3), sequential);
+        assert_eq!(run(8), sequential, "more shards than vehicles");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Conservative synchronization for sharded coupled runs.
 //!
-//! The contention-preserving parallel mode (`vifi-runtime`'s
-//! `ShardMode::Coupled`) executes one simulation as a set of shards that
-//! advance in lock-step **epochs**: every shard runs its own event queue
-//! up to the next epoch boundary, then all shards meet at a barrier where
-//! the shared services (medium, backplane, wired hand-offs) resolve the
-//! epoch's cross-shard interactions in one canonically-sorted batch. Two
-//! pieces live here because they are protocol-agnostic:
+//! `vifi-runtime`'s sharded runs execute one simulation as a set of shards
+//! that advance in lock-step **epochs**: every shard runs its own event
+//! queue up to the next epoch boundary, then all shards meet at a barrier
+//! where the shared services (medium, backplane, wired hand-offs) resolve
+//! the epoch's cross-shard interactions in one canonically-sorted batch.
+//! Two pieces live here because they are protocol-agnostic:
 //!
 //! * [`EpochSchedule`] — the deterministic sequence of epoch boundaries.
 //!   The lower bound on how soon one shard's actions can affect another is

@@ -23,37 +23,17 @@ use crate::time::SimTime;
 
 /// Handle to a scheduled event, used to cancel it before it fires.
 ///
-/// A token is `(shard, slot, generation)`: it names the queue (shard) that
-/// issued it, a slot in that queue's side table, and the generation at
-/// which it was issued. Once the event fires or is cancelled the slot's
-/// generation moves on and the token goes stale forever (up to u32
-/// generation wrap-around — four billion reuses of one slot — which no
-/// simulated workload approaches).
-///
-/// The shard id makes tokens from different queues of a sharded run
-/// distinct values: two shards may hand out the same `(slot, generation)`
-/// pair, but the stamped shard keeps them unequal under `Eq`/`Hash`, and
-/// [`EventQueue::cancel`] treats a foreign-shard token as inert rather
-/// than (mis)interpreting its slot against the wrong side table.
-///
-/// Cost, measured and accepted: widening the token 8 → 12 bytes plus the
-/// cancel-path shard compare moved `event_queue_churn_1k` by ≈ +12%
-/// (44 → 49 µs, same harness/host). Packing the shard into high bits of
-/// `slot`/`generation` would win it back but either shrinks the ABA
-/// guard's wrap-around margin or caps shard ids — a bad trade for a path
-/// that is a few percent of whole-run time.
+/// A token is `(slot, generation)`: a slot in the issuing queue's side
+/// table and the generation at which it was issued. Once the event fires
+/// or is cancelled the slot's generation moves on and the token goes stale
+/// forever (up to u32 generation wrap-around — four billion reuses of one
+/// slot — which no simulated workload approaches). A token is only
+/// meaningful to the queue that issued it; sharded runs keep each node's
+/// tokens with the node, and a node never changes shard.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TimerToken {
-    shard: u32,
     slot: u32,
     generation: u32,
-}
-
-impl TimerToken {
-    /// The shard (queue) this token was issued by.
-    pub fn shard(self) -> u32 {
-        self.shard
-    }
 }
 
 struct Entry<E> {
@@ -95,10 +75,6 @@ pub struct EventQueue<E> {
     free_slots: Vec<u32>,
     /// Number of live (scheduled, not yet fired or cancelled) events.
     live: usize,
-    /// Shard identity stamped into every issued token. Sharded runs give
-    /// each worker its own queue under a distinct shard id so tokens can
-    /// never be confused across shards.
-    shard: u32,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -108,27 +84,15 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue (shard 0 — the single-queue default).
+    /// Create an empty queue.
     pub fn new() -> Self {
-        Self::with_shard(0)
-    }
-
-    /// Create an empty queue owned by shard `shard`. Tokens it issues are
-    /// stamped with the shard id; see [`TimerToken`].
-    pub fn with_shard(shard: u32) -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
             generations: Vec::new(),
             free_slots: Vec::new(),
             live: 0,
-            shard,
         }
-    }
-
-    /// The shard id this queue stamps into its tokens.
-    pub fn shard_id(&self) -> u32 {
-        self.shard
     }
 
     /// Schedule `event` to fire at absolute time `at`. Returns a token that
@@ -154,22 +118,13 @@ impl<E> EventQueue<E> {
             event,
         }));
         self.live += 1;
-        TimerToken {
-            shard: self.shard,
-            slot,
-            generation,
-        }
+        TimerToken { slot, generation }
     }
 
     /// Cancel a previously scheduled event. Returns true if the event was
     /// still pending; cancelling a fired or already-cancelled token is a
-    /// harmless no-op returning false. A token issued by another shard's
-    /// queue is likewise inert: its `(slot, generation)` pair means nothing
-    /// against this queue's side table, so it must never be interpreted.
+    /// harmless no-op returning false.
     pub fn cancel(&mut self, token: TimerToken) -> bool {
-        if token.shard != self.shard {
-            return false;
-        }
         match self.generations.get_mut(token.slot as usize) {
             Some(generation) if *generation == token.generation => {
                 // Invalidate the token and its heap entry in one bump; the
@@ -296,28 +251,9 @@ mod tests {
     fn cancel_bogus_token_is_noop() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(!q.cancel(TimerToken {
-            shard: 0,
             slot: 999,
             generation: 0
         }));
-    }
-
-    #[test]
-    fn cross_shard_tokens_are_distinct_and_inert() {
-        let mut a: EventQueue<u32> = EventQueue::with_shard(1);
-        let mut b: EventQueue<u32> = EventQueue::with_shard(2);
-        assert_eq!(a.shard_id(), 1);
-        let ta = a.schedule(t(5), 10);
-        let tb = b.schedule(t(5), 20);
-        // Same (slot, generation) in both queues, still different tokens.
-        assert_ne!(ta, tb);
-        assert_eq!(ta.shard(), 1);
-        assert_eq!(tb.shard(), 2);
-        // A foreign token cancels nothing, and the right one still works.
-        assert!(!a.cancel(tb), "foreign-shard token must be inert");
-        assert_eq!(a.len(), 1);
-        assert!(a.cancel(ta));
-        assert!(b.cancel(tb));
     }
 
     #[test]

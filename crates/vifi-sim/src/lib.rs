@@ -23,8 +23,8 @@
 //! top, never baked in — seed-level parallelism (independent trials) lives
 //! in `vifi-bench`, and single-run parallelism uses the conservative
 //! [`epoch`] layer ([`EpochSchedule`] boundaries + [`EpochBarrier`]
-//! rendezvous), which `vifi-runtime`'s coupled sharded mode drives with one
-//! event queue per shard.
+//! rendezvous), which `vifi-runtime`'s sharded runs drive with one event
+//! queue per shard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

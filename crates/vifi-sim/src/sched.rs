@@ -22,27 +22,13 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// Create a scheduler at time zero with an empty queue (shard 0).
+    /// Create a scheduler at time zero with an empty queue.
     pub fn new() -> Self {
-        Self::with_shard(0)
-    }
-
-    /// Create a scheduler whose queue is owned by shard `shard`: every
-    /// token it issues is stamped with the shard id, so sharded runs that
-    /// drive one scheduler per worker can never cancel across shards (see
-    /// [`crate::TimerToken`]). The shard id has no effect on event
-    /// ordering — a run is bit-identical under any shard id.
-    pub fn with_shard(shard: u32) -> Self {
         Scheduler {
-            queue: EventQueue::with_shard(shard),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             dispatched: 0,
         }
-    }
-
-    /// The shard id this scheduler's queue stamps into its tokens.
-    pub fn shard_id(&self) -> u32 {
-        self.queue.shard_id()
     }
 
     /// Current virtual time.
@@ -184,19 +170,6 @@ mod tests {
         // 0 at t=1 spawns 1 at t=2 spawns 2 at t=3 spawns 3 at t=4.
         assert_eq!(count, 4);
         assert!(s.is_idle());
-    }
-
-    #[test]
-    fn sharded_scheduler_stamps_tokens() {
-        let mut a: Scheduler<()> = Scheduler::with_shard(3);
-        let mut b: Scheduler<()> = Scheduler::with_shard(4);
-        assert_eq!(a.shard_id(), 3);
-        assert_eq!(Scheduler::<()>::new().shard_id(), 0);
-        let ta = a.at(SimTime::from_secs(1), ());
-        let tb = b.at(SimTime::from_secs(1), ());
-        assert_eq!(ta.shard(), 3);
-        assert!(!a.cancel(tb), "foreign-shard token is inert");
-        assert!(a.cancel(ta));
     }
 
     #[test]

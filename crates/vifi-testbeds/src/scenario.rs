@@ -123,60 +123,10 @@ impl Scenario {
         )
     }
 
-    /// A copy of this scenario restricted to the given vehicles (all
-    /// basestations and wired nodes kept). Node ids are re-densified; the
-    /// mapping `old → new` is returned alongside. This is the sub-scenario
-    /// builder behind sharded fleet runs: each shard simulates its own
-    /// vehicles against the full infrastructure. When every vehicle is
-    /// kept the copy is node-for-node identical to `self` (ids included).
-    pub fn with_vehicle_subset(&self, keep: &[NodeId]) -> (Scenario, Vec<(NodeId, NodeId)>) {
-        let mut nodes = Vec::new();
-        let mut mapping = Vec::new();
-        for n in &self.nodes {
-            let kept = match n.kind {
-                NodeKind::Vehicle => keep.contains(&n.id),
-                _ => true,
-            };
-            if kept {
-                let new_id = NodeId(nodes.len() as u32);
-                mapping.push((n.id, new_id));
-                nodes.push(NodeSpec {
-                    id: new_id,
-                    kind: n.kind,
-                    mobility: n.mobility.clone(),
-                    name: n.name.clone(),
-                });
-            }
-        }
-        (
-            Scenario {
-                name: self.name.clone(),
-                nodes,
-                radio: self.radio.clone(),
-                lap: self.lap,
-                visits_per_day: self.visits_per_day,
-            },
-            mapping,
-        )
-    }
-
     /// Partition this scenario's vehicles into `shards` disjoint groups,
-    /// round-robin in vehicle-id order (vehicle *i* lands in shard
-    /// `i % shards`). Every vehicle appears in exactly one group; trailing
-    /// groups may be empty when `shards` exceeds the fleet size. The
-    /// assignment is a pure function of the scenario, so a sharded run's
-    /// plan is as deterministic as the run itself.
-    pub fn shard_partition(&self, shards: usize) -> Vec<Vec<NodeId>> {
-        assert!(shards >= 1, "need at least one shard");
-        let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
-        for (i, v) in self.vehicle_ids().into_iter().enumerate() {
-            groups[i % shards].push(v);
-        }
-        groups
-    }
-
-    /// Like [`Scenario::shard_partition`], but balanced by expected load:
-    /// each vehicle is weighted by its covered seconds per lap (total
+    /// balanced by expected load: every vehicle appears in exactly one
+    /// group (trailing groups may be empty when `shards` exceeds the fleet
+    /// size), weighted by its covered seconds per lap (total
     /// [`Scenario::contact_windows`] length against `link` at `min_prob`,
     /// plus one so fully-out-of-range vehicles still count), and vehicles
     /// are placed heaviest-first onto the lightest shard (longest
@@ -391,7 +341,7 @@ impl Scenario {
     /// backplane coupling resolves (see `HierarchicalSchedule` in
     /// `vifi-sim`). Merging clusters is always sound (it merely
     /// over-synchronizes); splitting a real component would lose physics,
-    /// which is why edges use the conservative `> 0` criterion rather
+    /// which is why edges use the conservative `> 0` test rather
     /// than a delivery threshold.
     ///
     /// Every node appears in exactly one cluster (singletons included).
@@ -541,52 +491,22 @@ mod tests {
     }
 
     #[test]
-    fn vehicle_subset_keeps_infrastructure() {
-        let s = crate::vanlan(4);
-        let vs = s.vehicle_ids();
-        let (sub, mapping) = s.with_vehicle_subset(&[vs[2]]);
-        sub.validate();
-        assert_eq!(sub.bs_ids().len(), s.bs_ids().len());
-        assert_eq!(sub.vehicle_ids().len(), 1);
-        // The kept vehicle's route is untouched (positions agree).
-        let new_id = mapping
-            .iter()
-            .find(|&&(old, _)| old == vs[2])
-            .map(|&(_, new)| new)
-            .unwrap();
-        for sec in [0u64, 40, 200] {
-            let t = SimTime::from_secs(sec);
-            assert_eq!(s.position(vs[2], t), sub.position(new_id, t));
-        }
-    }
-
-    #[test]
-    fn full_vehicle_subset_is_identity() {
-        let s = crate::vanlan(3);
-        let (sub, mapping) = s.with_vehicle_subset(&s.vehicle_ids());
-        assert_eq!(sub.nodes.len(), s.nodes.len());
-        for (old, new) in mapping {
-            assert_eq!(old, new, "keeping everything must not renumber");
-        }
-    }
-
-    #[test]
     fn shard_partition_is_disjoint_and_covering() {
         let s = crate::vanlan(8);
+        let link = s.build_link_model(&Rng::new(9));
         for shards in [1usize, 2, 3, 4, 8, 11] {
-            let groups = s.shard_partition(shards);
+            let groups = s.shard_partition_by_contact(shards, &link, 0.1);
             assert_eq!(groups.len(), shards);
             let mut all: Vec<NodeId> = groups.iter().flatten().copied().collect();
             all.sort_by_key(|n| n.index());
             all.dedup();
             assert_eq!(all, s.vehicle_ids(), "shards={shards}");
+            assert_eq!(
+                groups.iter().map(Vec::len).sum::<usize>(),
+                8,
+                "shards={shards}: no vehicle in two groups"
+            );
         }
-        // Round-robin: vehicle i lands in shard i % shards.
-        let groups = s.shard_partition(3);
-        let vs = s.vehicle_ids();
-        assert_eq!(groups[0], vec![vs[0], vs[3], vs[6]]);
-        assert_eq!(groups[1], vec![vs[1], vs[4], vs[7]]);
-        assert_eq!(groups[2], vec![vs[2], vs[5]]);
     }
 
     #[test]

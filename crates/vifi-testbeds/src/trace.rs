@@ -95,7 +95,7 @@ impl BeaconTrace {
     }
 
     /// True if BSes `a` and `b` were ever heard in the same second — the
-    /// §5.1 reachability criterion for inter-BS links.
+    /// §5.1 reachability rule for inter-BS links.
     pub fn co_visible(&self, a: u32, b: u32) -> bool {
         let mut secs_a: Vec<u64> = self
             .records

@@ -7,27 +7,21 @@
 //! 1. `shards = 1` (the sequential coupled run, `Simulation::run`) matches
 //!    **recorded golden fingerprints** — the epoch engine's physics is
 //!    pinned against silent drift.
-//! 2. **Coupled mode** (`ShardMode::Coupled`) at `shards ∈ {2, 4, 8}` is
-//!    **bit-identical to the sequential `shards = 1` run** — the
-//!    epoch-synchronized engine preserves the full shared-medium
-//!    contention while splitting the run across shards and worker
-//!    threads; neither the partition nor the worker count may leak into
-//!    the outcome.
-//! 3. **Independent mode** (`ShardMode::Independent`, PR 4's
-//!    contention-dropping decomposition) at `shards ∈ {2, 4, 8}` produces
-//!    identical merged outcomes to each other and to its sequential
-//!    reference path (`Simulation::run_sharded_sequential`) — the
-//!    per-vehicle decomposition is keyed by `(run_seed, vehicle)`, never
-//!    by the shard/worker count.
-//! 4. For single-vehicle scenarios (the paper's setup) sharded runs of
-//!    *any* count and mode are bit-identical to the sequential run.
+//! 2. **Sharded runs** at `shards ∈ {2, 4, 8}` (default configs: `shards`
+//!    is an execution knob, not a model switch) are **bit-identical to
+//!    the sequential `shards = 1` run** — the epoch-synchronized engine
+//!    preserves the full shared-medium contention while splitting the run
+//!    across shards and worker threads; neither the partition nor the
+//!    worker count may leak into the outcome.
+//! 3. For single-vehicle scenarios (the paper's setup) sharded runs of
+//!    *any* count are bit-identical to the sequential run.
 //!
 //! Run with `--test-threads=1` in CI (the `test-shards` matrix) so the
 //! sharded executors own the machine while they are measured.
 
 use proptest::prelude::*;
 use vifi::faults::FaultPlan;
-use vifi::runtime::{RunConfig, ShardMode, Simulation, WorkloadSpec};
+use vifi::runtime::{RunConfig, Simulation, WorkloadSpec};
 use vifi::sim::SimDuration;
 use vifi::testbeds::{dieselnet_fleet, vanlan, Scenario};
 
@@ -121,8 +115,8 @@ fn sequential_run_matches_golden_fingerprints() {
 
 #[test]
 fn coupled_shards_2_4_8_are_bit_identical_to_sequential() {
-    // The tentpole guarantee: ShardMode::Coupled preserves the shared
-    // medium exactly — at {2, 4, 8} shards (and whatever worker threads
+    // The tentpole guarantee: sharding preserves the shared medium
+    // exactly — at {2, 4, 8} shards (and whatever worker threads
     // the host grants), the merged outcome equals the sequential
     // `shards = 1` run bit for bit, on both 16-vehicle-class fleets,
     // across ≥ 5 seeds.
@@ -132,10 +126,7 @@ fn coupled_shards_2_4_8_are_bit_identical_to_sequential() {
                 .run()
                 .fingerprint();
             for shards in [2usize, 4, 8] {
-                let cfg = RunConfig {
-                    shard_mode: ShardMode::Coupled,
-                    ..fleet_cfg(seed, shards, 15)
-                };
+                let cfg = fleet_cfg(seed, shards, 15);
                 let fp = Simulation::run_sharded(&scenario, cfg).fingerprint();
                 assert_eq!(fp, sequential, "{name} seed {seed} coupled shards {shards}");
             }
@@ -148,10 +139,7 @@ fn coupled_outcome_is_invariant_to_worker_count() {
     // Same partition, different executors: every shard on the calling
     // thread vs. real worker threads behind the epoch barrier.
     let scenario = vanlan(8);
-    let cfg = RunConfig {
-        shard_mode: ShardMode::Coupled,
-        ..fleet_cfg(29, 4, 15)
-    };
+    let cfg = fleet_cfg(29, 4, 15);
     let (serial, timing) = Simulation::run_coupled_timed(&scenario, cfg.clone(), Some(1));
     assert_eq!(timing.per_shard.len(), 4);
     let (threaded, _) = Simulation::run_coupled_timed(&scenario, cfg, None);
@@ -159,75 +147,24 @@ fn coupled_outcome_is_invariant_to_worker_count() {
 }
 
 #[test]
-fn independent_shard_counts_2_4_8_are_bit_identical_to_each_other() {
-    for (name, scenario) in fleet_scenarios() {
-        let mut per_seed = Vec::new();
-        for seed in SEEDS {
-            // The sequential reference path of the same decomposition.
-            let reference =
-                Simulation::run_sharded_sequential(&scenario, fleet_cfg(seed, 2, 15)).fingerprint();
-            for shards in [2usize, 4, 8] {
-                let fp =
-                    Simulation::run_sharded(&scenario, fleet_cfg(seed, shards, 15)).fingerprint();
-                assert_eq!(fp, reference, "{name} seed {seed} shards {shards}");
-            }
-            per_seed.push(reference);
-        }
-        // Non-vacuity: different seeds really produce different runs.
-        per_seed.dedup();
-        assert!(per_seed.len() > 1, "{name}: seeds must differentiate runs");
-    }
-}
-
-#[test]
-fn independent_mode_really_differs_from_coupled() {
-    // The two modes answer different questions: Independent drops
-    // cross-vehicle contention, so on a contending fleet its numbers must
-    // differ from the coupled physics (if they ever coincided bit-for-bit
-    // the mode split would be vacuous).
-    let scenario = vanlan(8);
-    let coupled = Simulation::run_sharded(
-        &scenario,
-        RunConfig {
-            shard_mode: ShardMode::Coupled,
-            ..fleet_cfg(11, 4, 15)
-        },
-    )
-    .fingerprint();
-    let independent = Simulation::run_sharded(&scenario, fleet_cfg(11, 4, 15)).fingerprint();
-    assert_ne!(
-        coupled, independent,
-        "independent mode must actually drop contention"
-    );
-}
-
-#[test]
 fn auto_shards_match_explicit_counts() {
     // `shards = 0` (auto) resolves to the host's core count floored at
-    // two; in both modes the outcome equals any explicit count >= 2.
+    // two; like any explicit count it reproduces the sequential run.
     let scenario = vanlan(8);
-    let auto = Simulation::run_sharded(&scenario, fleet_cfg(21, 0, 15)).fingerprint();
-    let explicit = Simulation::run_sharded(&scenario, fleet_cfg(21, 4, 15)).fingerprint();
-    assert_eq!(auto, explicit);
-    let auto = Simulation::run_sharded(
-        &scenario,
-        RunConfig {
-            shard_mode: ShardMode::Coupled,
-            ..fleet_cfg(21, 0, 15)
-        },
-    )
-    .fingerprint();
     let sequential = Simulation::deployment(&scenario, fleet_cfg(21, 1, 15))
         .run()
         .fingerprint();
-    assert_eq!(auto, sequential, "coupled auto == sequential");
+    let auto = Simulation::run_sharded(&scenario, fleet_cfg(21, 0, 15)).fingerprint();
+    assert_eq!(auto, sequential, "auto == sequential");
+    let explicit = Simulation::run_sharded(&scenario, fleet_cfg(21, 4, 15)).fingerprint();
+    assert_eq!(explicit, sequential, "explicit == sequential");
 }
 
 #[test]
 fn single_vehicle_scenarios_shard_to_the_sequential_run() {
     // The paper's one-instrumented-vehicle setup: sharding can only move
-    // the run to other cores, so any shard count in either mode replays
-    // the sequential run bit-for-bit.
+    // the run to other cores, so any shard count replays the sequential
+    // run bit-for-bit — including counts that leave shards vehicle-free.
     let scenario = vanlan(1);
     for seed in [5u64, 6, 7] {
         let cfg = RunConfig {
@@ -248,47 +185,8 @@ fn single_vehicle_scenarios_shard_to_the_sequential_run() {
                 },
             )
             .fingerprint();
-            assert_eq!(fp, sequential, "seed {seed} independent shards {shards}");
+            assert_eq!(fp, sequential, "seed {seed} shards {shards}");
         }
-        for shards in [2usize, 4] {
-            let fp = Simulation::run_sharded(
-                &scenario,
-                RunConfig {
-                    shards,
-                    shard_mode: ShardMode::Coupled,
-                    ..cfg.clone()
-                },
-            )
-            .fingerprint();
-            assert_eq!(fp, sequential, "seed {seed} coupled shards {shards}");
-        }
-    }
-}
-
-#[test]
-fn merged_outcome_shape_matches_sequential_fleet_shape() {
-    // Same vehicles, same ordering, same counter relationships as the
-    // coupled fleet run — only the physics differs in Independent mode
-    // (no cross-vehicle contention).
-    let scenario = dieselnet_fleet(16, 42);
-    let sharded = Simulation::run_sharded(&scenario, fleet_cfg(31, 4, 15));
-    let coupled = Simulation::run_sharded(&scenario, fleet_cfg(31, 1, 15));
-    assert_eq!(sharded.vehicles.len(), coupled.vehicles.len());
-    for (s, c) in sharded.vehicles.iter().zip(coupled.vehicles.iter()) {
-        assert_eq!(s.vehicle, c.vehicle, "vehicle order is the merge order");
-    }
-    assert_eq!(
-        sharded.unroutable_down,
-        sharded
-            .vehicles
-            .iter()
-            .map(|v| v.unroutable_down)
-            .sum::<u64>()
-    );
-    assert_eq!(sharded.anchor_switches, sharded.vehicles[0].anchor_switches);
-    // Every bus keeps probing in both modes.
-    for v in &sharded.vehicles {
-        assert!(v.report.as_cbr().unwrap().total_sent() > 0);
     }
 }
 
@@ -309,10 +207,7 @@ fn faulted_coupled_shards_2_4_8_are_bit_identical_to_sequential() {
             );
             let sequential = sequential.fingerprint();
             for shards in [2usize, 4, 8] {
-                let cfg = RunConfig {
-                    shard_mode: ShardMode::Coupled,
-                    ..faulted_fleet_cfg(&scenario, seed, shards, 15)
-                };
+                let cfg = faulted_fleet_cfg(&scenario, seed, shards, 15);
                 let fp = Simulation::run_sharded(&scenario, cfg).fingerprint();
                 assert_eq!(
                     fp, sequential,
@@ -328,10 +223,7 @@ fn faulted_coupled_outcome_is_invariant_to_worker_count() {
     // Fault handling must not depend on which thread runs a shard: the
     // serial executor and real worker threads agree bit for bit.
     for (name, scenario) in fleet_scenarios() {
-        let cfg = RunConfig {
-            shard_mode: ShardMode::Coupled,
-            ..faulted_fleet_cfg(&scenario, 37, 4, 15)
-        };
+        let cfg = faulted_fleet_cfg(&scenario, 37, 4, 15);
         let (serial, _) = Simulation::run_coupled_timed(&scenario, cfg.clone(), Some(1));
         let (threaded, _) = Simulation::run_coupled_timed(&scenario, cfg, None);
         assert_eq!(
@@ -343,36 +235,9 @@ fn faulted_coupled_outcome_is_invariant_to_worker_count() {
 }
 
 #[test]
-fn faulted_independent_shard_counts_are_bit_identical_to_each_other() {
-    // Independent mode remaps the plan onto each micro-shard's densified
-    // node ids; the decomposition stays a pure function of
-    // `(run_seed, vehicle)` even with faults in play.
-    for (name, scenario) in fleet_scenarios() {
-        for seed in SEEDS {
-            let reference = Simulation::run_sharded_sequential(
-                &scenario,
-                faulted_fleet_cfg(&scenario, seed, 2, 15),
-            )
-            .fingerprint();
-            for shards in [2usize, 4, 8] {
-                let fp = Simulation::run_sharded(
-                    &scenario,
-                    faulted_fleet_cfg(&scenario, seed, shards, 15),
-                )
-                .fingerprint();
-                assert_eq!(
-                    fp, reference,
-                    "{name} seed {seed} faulted independent shards {shards}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn faulted_runs_differ_from_unfaulted_runs() {
     // Non-vacuity for the whole faulted suite: the synthesized plan must
-    // actually perturb the physics, in both modes.
+    // actually perturb the physics.
     let scenario = vanlan(8);
     let clean = Simulation::deployment(&scenario, fleet_cfg(11, 1, 15))
         .run()
@@ -381,10 +246,6 @@ fn faulted_runs_differ_from_unfaulted_runs() {
         .run()
         .fingerprint();
     assert_ne!(clean, faulted, "faults must perturb the coupled run");
-    let clean = Simulation::run_sharded(&scenario, fleet_cfg(11, 4, 15)).fingerprint();
-    let faulted =
-        Simulation::run_sharded(&scenario, faulted_fleet_cfg(&scenario, 11, 4, 15)).fingerprint();
-    assert_ne!(clean, faulted, "faults must perturb the independent run");
 }
 
 /// City-scale fleets: the scenarios PR 7's parallel audibility-partitioned
@@ -418,10 +279,7 @@ fn city_coupled_shards_2_4_8_16_are_bit_identical_to_sequential() {
                 .run()
                 .fingerprint();
             for shards in [2usize, 4, 8, 16] {
-                let cfg = RunConfig {
-                    shard_mode: ShardMode::Coupled,
-                    ..fleet_cfg(seed, shards, CITY_SECS)
-                };
+                let cfg = fleet_cfg(seed, shards, CITY_SECS);
                 let fp = Simulation::run_sharded(&scenario, cfg).fingerprint();
                 assert_eq!(
                     fp, sequential,
@@ -456,10 +314,7 @@ fn city_faulted_coupled_runs_are_bit_identical_to_sequential() {
             );
             let sequential = sequential.fingerprint();
             for shards in [4usize, 16] {
-                let cfg = RunConfig {
-                    shard_mode: ShardMode::Coupled,
-                    ..faulted(shards)
-                };
+                let cfg = faulted(shards);
                 let fp = Simulation::run_sharded(&scenario, cfg).fingerprint();
                 assert_eq!(
                     fp, sequential,
@@ -476,10 +331,7 @@ fn city_coupled_outcome_is_invariant_to_worker_count() {
     // the same 8-wait barrier schedule; at city scale they must still
     // agree bit for bit.
     let scenario = vanlan(64);
-    let cfg = RunConfig {
-        shard_mode: ShardMode::Coupled,
-        ..fleet_cfg(57, 8, CITY_SECS)
-    };
+    let cfg = fleet_cfg(57, 8, CITY_SECS);
     let (serial, timing) = Simulation::run_coupled_timed(&scenario, cfg.clone(), Some(1));
     assert_eq!(timing.per_shard.len(), 8);
     let (threaded, _) = Simulation::run_coupled_timed(&scenario, cfg, None);
@@ -518,10 +370,7 @@ fn metro_coupled_shards_2_4_8_16_are_bit_identical_to_sequential() {
         );
         let sequential = sequential.fingerprint();
         for shards in [2usize, 4, 8, 16] {
-            let cfg = RunConfig {
-                shard_mode: ShardMode::Coupled,
-                ..fleet_cfg(seed, shards, METRO_SECS)
-            };
+            let cfg = fleet_cfg(seed, shards, METRO_SECS);
             let fp = Simulation::run_sharded(&scenario, cfg).fingerprint();
             assert_eq!(fp, sequential, "seed {seed} metro coupled shards {shards}");
         }
@@ -553,10 +402,7 @@ fn metro_faulted_coupled_runs_are_bit_identical_to_sequential() {
         );
         let sequential = sequential.fingerprint();
         for shards in [4usize, 16] {
-            let cfg = RunConfig {
-                shard_mode: ShardMode::Coupled,
-                ..faulted(shards)
-            };
+            let cfg = faulted(shards);
             let fp = Simulation::run_sharded(&scenario, cfg).fingerprint();
             assert_eq!(
                 fp, sequential,
@@ -574,10 +420,7 @@ fn metro_coupled_outcome_is_invariant_to_worker_count() {
     // workers > shards.
     let scenario = metro(4, 16, 71);
     for shards in [4usize, 8] {
-        let cfg = RunConfig {
-            shard_mode: ShardMode::Coupled,
-            ..fleet_cfg(71, shards, METRO_SECS)
-        };
+        let cfg = fleet_cfg(71, shards, METRO_SECS);
         let (serial, timing) = Simulation::run_coupled_timed(&scenario, cfg.clone(), Some(1));
         assert_eq!(timing.per_shard.len(), shards);
         let (threaded, _) = Simulation::run_coupled_timed(&scenario, cfg, None);
@@ -616,7 +459,6 @@ fn metro_nested_mode_really_differs_from_flat_epochs() {
         &scenario,
         RunConfig {
             flat_epochs: true,
-            shard_mode: ShardMode::Coupled,
             ..fleet_cfg(71, 4, METRO_SECS)
         },
     )
@@ -627,32 +469,23 @@ fn metro_nested_mode_really_differs_from_flat_epochs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Property over arbitrary seeds: parallel executions at co-prime
-    /// shard counts and the sequential references all merge to the same
-    /// bits on a mid-sized fleet, in both modes.
+    /// Property over arbitrary seeds: default-mode parallel executions at
+    /// co-prime shard counts, and a replay, all equal the sequential run
+    /// on a mid-sized fleet.
     #[test]
     fn sharded_outcome_is_a_pure_function_of_seed(seed in 1u64..1_000_000) {
         let scenario = vanlan(4);
-        let reference =
-            Simulation::run_sharded_sequential(&scenario, fleet_cfg(seed, 2, 10)).fingerprint();
+        let sequential = Simulation::deployment(&scenario, fleet_cfg(seed, 1, 10))
+            .run()
+            .fingerprint();
         for shards in [2usize, 3] {
             let fp =
                 Simulation::run_sharded(&scenario, fleet_cfg(seed, shards, 10)).fingerprint();
-            prop_assert_eq!(fp, reference, "seed {} shards {}", seed, shards);
+            prop_assert_eq!(fp, sequential, "seed {} shards {}", seed, shards);
         }
         // And replaying the same seed reproduces the same bits.
         let replay =
             Simulation::run_sharded(&scenario, fleet_cfg(seed, 2, 10)).fingerprint();
-        prop_assert_eq!(replay, reference);
-        // Coupled: the parallel run equals the sequential coupled run.
-        let sequential = Simulation::deployment(&scenario, fleet_cfg(seed, 1, 10))
-            .run()
-            .fingerprint();
-        let coupled = Simulation::run_sharded(
-            &scenario,
-            RunConfig { shard_mode: ShardMode::Coupled, ..fleet_cfg(seed, 3, 10) },
-        )
-        .fingerprint();
-        prop_assert_eq!(coupled, sequential, "coupled seed {}", seed);
+        prop_assert_eq!(replay, sequential);
     }
 }

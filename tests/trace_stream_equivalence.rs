@@ -14,17 +14,16 @@
 //! 3. The fold's working set is bounded by packets in flight, not run
 //!    length: quadrupling the horizon grows records ~linearly but leaves
 //!    the pending high-water mark flat.
-//! 4. `RunLog::remap_nodes` through a bijection round-trips (property
-//!    test), and a remapped log's binary trace still reconstructs it
-//!    exactly.
+//! 4. Scripted logs of arbitrary shape and node labels (property test)
+//!    reconstruct exactly from their binary trace, replayed and folded.
 
 use proptest::prelude::*;
 use vifi::core::{Direction, PacketId};
 use vifi::faults::FaultPlan;
 use vifi::phy::NodeId;
 use vifi::runtime::{
-    read_stream, Fingerprintable, PerfectRelayOutcome, RunConfig, RunLog, ShardMode, Simulation,
-    StreamFold, Table1, WorkloadSpec,
+    read_stream, Fingerprintable, PerfectRelayOutcome, RunConfig, RunLog, Simulation, StreamFold,
+    Table1, WorkloadSpec,
 };
 use vifi::sim::{SimDuration, SimTime};
 use vifi::testbeds::{dieselnet_fleet, vanlan, Scenario};
@@ -43,7 +42,6 @@ fn fleet_cfg(scenario: &Scenario, seed: u64, shards: usize, secs: u64, faulted: 
         duration,
         seed,
         shards,
-        shard_mode: ShardMode::Coupled,
         faults: if faulted {
             FaultPlan::synthesize(
                 0.6,
@@ -180,16 +178,18 @@ fn fold_working_set_stays_flat_as_horizon_grows() {
 }
 
 // ---------------------------------------------------------------------
-// remap_nodes: bijection round-trip + binary-stream equivalence
+// Scripted logs: binary-stream equivalence over arbitrary record shapes
 // ---------------------------------------------------------------------
 
 /// Build a log from a compact op script so proptest can explore record
-/// shapes without driving a whole simulation.
-fn build_log(ops: &[(u8, u32, u64, bool)]) -> RunLog {
+/// shapes without driving a whole simulation. Node labels start at
+/// `base`.
+fn build_log(ops: &[(u8, u32, u64, bool)], base: u32) -> RunLog {
     let mut log = RunLog::new();
     for &(kind, node, seq, flag) in ops {
+        let node = base + node % 8;
         let id = PacketId {
-            origin: NodeId(node % 8),
+            origin: NodeId(node),
             seq: seq % 16,
         };
         let dir = if flag {
@@ -202,13 +202,13 @@ fn build_log(ops: &[(u8, u32, u64, bool)]) -> RunLog {
                 id,
                 dir,
                 SimTime::from_millis(seq),
-                vec![NodeId(node % 8), NodeId(node % 8 + 1)],
-                vec![NodeId(node % 8)],
+                vec![NodeId(node), NodeId(node + 1)],
+                vec![NodeId(node)],
                 flag,
             ),
-            1 => log.on_ack_heard(id, &[NodeId(node % 8), NodeId(node % 8 + 1)]),
-            2 => log.on_decision(id, NodeId(node % 8), 0.25, flag),
-            3 => log.on_relay(id, NodeId(node % 8), flag, !flag),
+            1 => log.on_ack_heard(id, &[NodeId(node), NodeId(node + 1)]),
+            2 => log.on_decision(id, NodeId(node), 0.25, flag),
+            3 => log.on_relay(id, NodeId(node), flag, !flag),
             _ => log.on_delivered(id),
         }
     }
@@ -219,43 +219,14 @@ fn build_log(ops: &[(u8, u32, u64, bool)]) -> RunLog {
 
 proptest! {
     #[test]
-    fn remap_bijection_roundtrips(
+    fn scripted_log_streams_bit_identically(
         ops in proptest::collection::vec(
             (any::<u8>(), 0u32..16, 0u64..64, any::<bool>()),
             1..40,
         ),
-        shift in 1u32..1000,
+        base in 0u32..1000,
     ) {
-        let mut log = build_log(&ops);
-        let original = log.fingerprint();
-        // `x ↦ x + shift` is a bijection on the label range we use, with
-        // inverse `x ↦ x - shift`.
-        log.remap_nodes(|n| NodeId(n.0 + shift));
-        let remapped = log.fingerprint();
-        // An op script with no source transmissions leaves the record
-        // vector empty, and an id-free log is remap-invariant by design.
-        prop_assert!(
-            log.records.is_empty() || remapped != original,
-            "remap through a non-identity bijection must move the \
-             fingerprint (node ids are part of every record digest)"
-        );
-        log.remap_nodes(|n| NodeId(n.0 - shift));
-        prop_assert!(
-            log.fingerprint() == original,
-            "bijection followed by its inverse must restore the log exactly"
-        );
-    }
-
-    #[test]
-    fn remapped_log_streams_bit_identically(
-        ops in proptest::collection::vec(
-            (any::<u8>(), 0u32..16, 0u64..64, any::<bool>()),
-            1..40,
-        ),
-        shift in 0u32..1000,
-    ) {
-        let mut log = build_log(&ops);
-        log.remap_nodes(|n| NodeId(n.0 + shift));
+        let log = build_log(&ops, base);
         let bytes = log.write_binary(Vec::new()).expect("serialize");
         let mut rebuilt = RunLog::new();
         read_stream(&bytes[..], &mut rebuilt).expect("replay");
