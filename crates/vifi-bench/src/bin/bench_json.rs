@@ -219,12 +219,12 @@ fn bench_fleet_sharded(h: &mut Harness) {
             .0
             .events
     });
-    // A multi-cluster metro run through the nested epoch hierarchy: four
-    // radio-disjoint districts, each walking its own fine schedule and
-    // cluster pipeline, rendezvousing at coarse boundaries for backplane
-    // routing. Tracks the cluster decomposition, per-cluster medium
-    // placement and the two-level barrier loop — where a regression in
-    // the hierarchical engine would land.
+    // A multi-cluster metro run: four radio-disjoint districts, each
+    // crossing the fine boundaries of its own schedule through the one
+    // barrier pipeline and routing over the backplane only at coarse
+    // rendezvous. Tracks the cluster decomposition, per-cluster medium
+    // placement and the boundary walk — where a regression in
+    // multi-cluster synchronization would land.
     let metro_scenario = metro(4, 4, 7);
     let metro_cfg = RunConfig {
         fleet_workloads: vec![WorkloadSpec::paper_cbr()],

@@ -24,9 +24,10 @@
 //! * `city_coupled_scaling` — city-scale fleets (vanlan(64),
 //!   dieselnet_fleet(128)) at up to 16 shards, the regime the parallel
 //!   audibility-partitioned barrier targets;
-//! * `metro_coupled_scaling` — the nested epoch hierarchy A/B'd against
-//!   the flat schedule on the multi-cluster `metro(4, 16, 42)` scenario
-//!   at the same shard counts.
+//! * `metro_coupled_scaling` — the multi-cluster `metro(4, 16, 42)`
+//!   scenario at the same shard counts, where clusters cross fine
+//!   barriers alone and route over the backplane only at coarse
+//!   rendezvous.
 
 use vifi_bench::{
     banner, interruptions, median_session_secs, parallel_map_seeds, print_table,
@@ -277,24 +278,18 @@ fn coupled_scaling(
     })
 }
 
-/// Metro axis: the nested epoch hierarchy against the flat single-level
-/// schedule on a multi-cluster scenario, per shard count. Both modes are
-/// measured with every shard on the calling thread (`workers = Some(1)`),
-/// so critical paths are honest regardless of host cores. The payoff the
-/// axis demonstrates: nested runs confine fine barriers to each cluster's
-/// own pipeline and only serialize fleet-wide at coarse boundaries, so
-/// their serial wall — and with it the critical path at high shard
-/// counts — shrinks relative to flat runs, which serialize the whole
-/// fleet every fine epoch. (The two modes are distinct coupling models;
-/// each is individually bit-identical across shard counts, which the
-/// `metro` equivalence legs prove.)
+/// Metro axis: a multi-cluster scenario per shard count, measured with
+/// every shard on the calling thread (`workers = Some(1)`) so critical
+/// paths are honest regardless of host cores. Each cluster crosses its
+/// own fine barriers and the fleet serializes only at coarse rendezvous,
+/// so the serial wall stays small as shards are added.
 fn metro_coupled_scaling(
     scenario: &Scenario,
     duration: SimDuration,
     counts: &[usize],
 ) -> serde_json::Value {
     const PASSES: usize = 2;
-    let measure = |shards: usize, flat: bool| -> vifi_runtime::CoupledTiming {
+    let measure = |shards: usize| -> vifi_runtime::CoupledTiming {
         let mut best: Option<vifi_runtime::CoupledTiming> = None;
         for _ in 0..PASSES {
             let cfg = RunConfig {
@@ -302,7 +297,6 @@ fn metro_coupled_scaling(
                 duration,
                 seed: 1000,
                 shards,
-                flat_epochs: flat,
                 ..RunConfig::default()
             };
             let (out, timing) = Simulation::run_coupled_timed(scenario, cfg, Some(1));
@@ -317,57 +311,38 @@ fn metro_coupled_scaling(
         }
         best.expect("at least one pass")
     };
-    let ms = |t: &vifi_runtime::CoupledTiming| t.critical_path().as_secs_f64() * 1e3;
-    let (mut seq_nested_ms, mut seq_flat_ms) = (0.0f64, 0.0f64);
+    let mut seq_ms = 0.0f64;
     let mut rows = Vec::new();
     for &shards in counts {
-        let nested = measure(shards, false);
-        let flat = measure(shards, true);
-        let (nested_ms, flat_ms) = (ms(&nested), ms(&flat));
+        let timing = measure(shards);
+        let cp_ms = timing.critical_path().as_secs_f64() * 1e3;
         if shards == 1 {
-            seq_nested_ms = nested_ms;
-            seq_flat_ms = flat_ms;
+            seq_ms = cp_ms;
         }
         rows.push(serde_json::json!({
             "shards": shards,
-            "nested_critical_path_ms": nested_ms,
-            "nested_serial_ms": nested.serial.as_secs_f64() * 1e3,
-            "nested_speedup_vs_sequential": seq_nested_ms / nested_ms.max(1e-9),
-            "flat_critical_path_ms": flat_ms,
-            "flat_serial_ms": flat.serial.as_secs_f64() * 1e3,
-            "flat_speedup_vs_sequential": seq_flat_ms / flat_ms.max(1e-9),
-            "nested_vs_flat": flat_ms / nested_ms.max(1e-9),
+            "critical_path_ms": cp_ms,
+            "serial_ms": timing.serial.as_secs_f64() * 1e3,
+            "speedup_vs_sequential": seq_ms / cp_ms.max(1e-9),
         }));
     }
     print_table(
         &format!(
-            "Metro — nested vs flat coupled scaling ({} vehicles, {} clusters)",
+            "Metro — coupled scaling ({} vehicles, {} clusters)",
             scenario.vehicle_ids().len(),
             scenario
                 .contact_clusters(&scenario.build_link_model(&Rng::new(1000)))
                 .len(),
         ),
-        &[
-            "shards",
-            "nested ms",
-            "nested speedup",
-            "flat ms",
-            "flat speedup",
-            "nested/flat",
-        ],
+        &["shards", "critical path ms", "serial ms", "speedup"],
         &rows
             .iter()
             .map(|r| {
                 vec![
                     r["shards"].as_u64().expect("row shards").to_string(),
-                    format!("{:.0}", r["nested_critical_path_ms"].as_f64().unwrap()),
-                    format!(
-                        "{:.2}x",
-                        r["nested_speedup_vs_sequential"].as_f64().unwrap()
-                    ),
-                    format!("{:.0}", r["flat_critical_path_ms"].as_f64().unwrap()),
-                    format!("{:.2}x", r["flat_speedup_vs_sequential"].as_f64().unwrap()),
-                    format!("{:.2}x", r["nested_vs_flat"].as_f64().unwrap()),
+                    format!("{:.0}", r["critical_path_ms"].as_f64().unwrap()),
+                    format!("{:.1}", r["serial_ms"].as_f64().unwrap()),
+                    format!("{:.2}x", r["speedup_vs_sequential"].as_f64().unwrap()),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -544,8 +519,8 @@ fn main() {
             &CITY_SHARD_COUNTS,
         ),
     ];
-    // Metro axis: nested hierarchy vs flat schedule on the four-district
-    // multi-cluster scenario — the regime the nested barriers are for.
+    // Metro axis: the four-district multi-cluster scenario — the regime
+    // the cluster hierarchy is for.
     let metro_scaling_json =
         metro_coupled_scaling(&metro(4, 16, 42), city_duration, &CITY_SHARD_COUNTS);
     // Robustness axis: delivery and disruption against fault intensity on

@@ -3,22 +3,31 @@
 //! One engine executes one experiment as a set of **shards**, each owning
 //! a disjoint subset of the nodes (its *lanes*): the shard holds those
 //! nodes' endpoints, workload hosts and pending events in its own
-//! [`Scheduler`], plus its own lazily-populated link-model instance. Time
-//! is divided into epochs by an [`EpochSchedule`]; within an epoch every
-//! shard dispatches only its own lanes' events, and **all inter-node
-//! effects cross at the epoch barrier** in canonically sorted batches:
+//! [`Scheduler`], plus its own lazily-populated link-model instance.
 //!
-//! * transmission requests → [`SharedMediumService::place_batch`] in
-//!   `(request time, sender)` order (global carrier sense + backoff);
-//! * reception resolution → each shard samples *its own* receivers of
-//!   every ending frame through the pure MAC kernel and per-link
-//!   sampling streams;
-//! * backplane sends → one [`Backplane::send_batch`] per instant in
-//!   sender order (drops deterministic);
-//! * wired hops and anchor hand-offs → routed with timestamps no earlier
-//!   than the barrier;
-//! * packet-log mutations → buffered as timestamped ops and replayed in
-//!   one canonical order at the end of the run.
+//! Time is divided into epochs by a [`HierarchicalSchedule`]. The fleet
+//! decomposes into radio-disjoint **contact clusters** (one cluster when
+//! the whole fleet is one contact cluster); each cluster keeps its radio
+//! state — medium, link instance, aux snapshots — in its own `ClusterRt`
+//! and crosses the fine boundaries of its own activity, and the engine
+//! walks the union of those boundaries lazily ([`BoundaryWalk`]). Within
+//! an epoch every shard dispatches only its own lanes' events, and **all
+//! inter-node effects cross at barriers** in canonically sorted batches.
+//! At each boundary one phase sequence runs over the clusters due there:
+//! *collect* each batch in `(request time, sender)` order with its
+//! audibility probes; *probe* in parallel; *split* into
+//! audibility-independent groups; *place* the groups in parallel on the
+//! cluster's own medium; *merge* in canonical order and drain the frames
+//! ending before the cluster's next boundary; *resolve* — each shard
+//! samples its own receivers through the pure MAC kernel and per-link
+//! streams; emit *frame ops*; and, at rendezvous stops only, *route*
+//! backplane sends (one [`Backplane::send_batch`] per instant in sender
+//! order), wired hops and anchor hand-offs, never earlier than the stop.
+//! Rendezvous are every boundary of a one-cluster fleet and the coarse
+//! grid otherwise, so clusters never stall each other at fine boundaries;
+//! the cadence follows from the decomposition, never from a knob.
+//! Packet-log mutations are buffered as timestamped ops and replayed in
+//! one canonical order at the end of the run.
 //!
 //! Because every cross-lane channel is mediated this way **even when both
 //! lanes share a shard**, the outcome is a pure function of
@@ -28,11 +37,12 @@
 //! pins at every shard and worker count.
 //!
 //! Relative to the pre-PR-5 per-event loop this changes the observable
-//! semantics in one bounded way: a frame requested during an epoch airs
-//! from the next epoch edge (at most one sync quantum of extra access
-//! latency — 1 ms at the default — plus normal contention queueing), and
-//! wired/backplane deliveries never land before the barrier that routes
-//! them. Contention physics — deferral, half duplex, hidden-terminal
+//! semantics in bounded ways: a frame requested during an epoch airs from
+//! the next epoch edge (at most one sync quantum of extra access latency
+//! — 1 ms at the default — plus normal contention queueing), and wired
+//! and backplane deliveries never land before the rendezvous that routes
+//! them (up to one coarse quantum later in a multi-cluster fleet).
+//! Contention physics — deferral, half duplex, hidden-terminal
 //! collisions, the shared serializer — is exactly the global model, which
 //! is the point: sharded coupled runs keep it.
 
@@ -54,8 +64,7 @@ use vifi_mac::{
 };
 use vifi_phy::{LinkModel, NodeId};
 use vifi_sim::{
-    EpochBarrier, EpochSchedule, HierarchicalSchedule, NestedEpochBarrier, Rng, Scheduler, SimTime,
-    TimerToken,
+    BoundaryWalk, HierarchicalSchedule, NestedEpochBarrier, Rng, Scheduler, SimTime, TimerToken,
 };
 
 use crate::logging::{LogSink, RunLog};
@@ -228,98 +237,134 @@ impl XMsg {
 /// One shard: a disjoint set of lanes plus their scheduler, link-model
 /// instance, and epoch outboxes.
 struct Shard {
-    /// Lanes owned by this shard, in node-id order.
-    nodes: Vec<NodeId>,
+    /// Lanes owned by this shard, in node-id order, each with its
+    /// contact cluster.
+    nodes: Vec<(NodeId, usize)>,
     sched: Scheduler<(NodeId, Ev)>,
     cells: HashMap<NodeId, NodeCell>,
     link: EngineLink,
-    // ---- epoch outboxes, drained at every barrier ----
+    // ---- epoch outboxes, drained at the barriers of their clusters ----
     tx_requests: Vec<TxRequest<WireFrame>>,
     bp_sends: Vec<BpSend>,
     x_msgs: Vec<XMsg>,
     log_ops: Vec<LogOp>,
-    /// Reception reports of the current resolution phase:
-    /// `(frame handle, receiver)`.
-    reports: Vec<(TxHandle, NodeId)>,
     salvaged: u64,
     /// Fault-degradation counters for events on this shard's own lanes
     /// (summed across shards at the end; each event belongs to exactly
     /// one lane, so the sum is partition-invariant).
     faults: FaultStats,
-    /// Wall-clock this shard spent executing epochs + resolving
-    /// receptions — the per-shard cost a dedicated core would bear.
+    /// Wall-clock charged to this shard (see [`CoupledTiming`]).
     wall: Duration,
 }
 
-/// Frame metadata the coordinator keeps from placement to resolution.
-struct FrameMeta {
-    /// Aux-set snapshot for the instrumented vehicle's source data frames
-    /// (read from the vehicle's endpoint at the placement barrier).
-    aux_set: Option<Vec<NodeId>>,
-}
-
-/// Barrier products the shards read during the parallel resolution phase.
-#[derive(Default)]
-struct Staged {
+/// One due cluster's batch as it moves through a boundary's phases.
+struct ClusterBatch {
+    cluster: usize,
+    /// The cluster's next boundary, clamped to the horizon: frames ending
+    /// before it resolve at this one.
+    next: SimTime,
+    /// The sorted transmission batch, until the split phase.
+    requests: Vec<TxRequest<WireFrame>>,
+    /// Aux snapshots and senders in batch order, until the merge phase.
+    auxes: Vec<Option<Vec<NodeId>>>,
+    senders: Vec<NodeId>,
+    /// Audibility probe plan (collect → probe) and the workers' answers
+    /// (probe → split); no plan for an empty batch.
+    probes: Option<PartitionProbes>,
+    audible: Vec<AtomicBool>,
+    /// Work-claim cursor of the threaded probe phase.
+    cursor: AtomicUsize,
+    /// This batch's slice of the supergroup's placement jobs.
+    jobs: Range<usize>,
     /// `(sender, end)` of every window placed at this barrier, in batch
     /// order — each shard schedules `TxDone` for its own senders.
     placements: Vec<(NodeId, SimTime)>,
-    /// Frames whose airtime ends before the next boundary, canonical
-    /// `(end, src)` order, with complete overlap snapshots.
+    /// Frames ending before `next`, canonical `(end, src)` order, with
+    /// complete overlap snapshots.
     resolvable: Vec<ResolvableTx<WireFrame>>,
+    /// Receptions the shards sampled in the resolve phase:
+    /// `(frame handle, receiver)`.
+    heard: Mutex<Vec<(TxHandle, NodeId)>>,
 }
 
-/// Staging area the parallel barrier phases hand work through. The
-/// leader fills it in the collect/split phases (behind the write lock);
-/// workers read it concurrently to evaluate audibility probes and place
-/// groups, claiming work through the engine's shared cursor.
-#[derive(Default)]
-struct BarrierScratch {
-    /// The epoch's sorted transmission batch, awaiting the split phase.
-    requests: Vec<TxRequest<WireFrame>>,
-    /// Frame metas in batch order (consumed by the merge phase).
-    metas: Vec<FrameMeta>,
-    /// Batch senders in batch order (for the staged placements).
-    senders: Vec<NodeId>,
-    /// Backplane sends and cross-lane messages awaiting the route phase.
-    bp: Vec<BpSend>,
-    xs: Vec<XMsg>,
-    /// The barrier instant the batch places at.
-    at: SimTime,
-    /// Audibility probe plan for the batch partition (collect → probe
-    /// phase), and the workers' answers (probe → split phase).
-    probes: Option<PartitionProbes>,
-    audible: Vec<AtomicBool>,
-    /// Placement jobs (split → place phase); each taken exactly once.
-    jobs: Vec<Mutex<Option<PlacementGroup<WireFrame>>>>,
-}
-
-/// The node partition of an engine run: per shard, the lanes it owns.
-#[derive(Clone, Debug)]
-pub(crate) struct EnginePartition {
-    /// One entry per shard: all owned nodes (vehicles and basestations),
-    /// each node appearing in exactly one shard.
-    pub lanes: Vec<Vec<NodeId>>,
-}
-
-impl EnginePartition {
-    /// Everything in one shard — the `shards = 1` machine.
-    pub fn single(mut nodes: Vec<NodeId>) -> Self {
-        nodes.sort_by_key(|n| n.index());
-        EnginePartition { lanes: vec![nodes] }
+impl ClusterBatch {
+    /// Evaluate one range of this batch's audibility probes at `at`
+    /// against `link` (any instance — `quality_hint` is pure and
+    /// instance-independent) and record the audible ones.
+    fn eval_probes(&self, at: SimTime, range: Range<usize>, link: &dyn LinkModel, sense: f64) {
+        let probes = self.probes.as_ref().expect("probe plan published");
+        for k in range {
+            if probes.eval(k, at, link, sense) {
+                self.audible[k].store(true, Ordering::SeqCst);
+            }
+        }
     }
 }
 
-/// Wall-clock accounting of one coupled run: per-shard epoch work and the
-/// coordinator's serial barrier work. The critical path of the plan is
+/// Staging area a supergroup's barrier phases hand work through. The
+/// leader fills it in the collect/split/merge phases (behind the write
+/// lock); workers read it concurrently to evaluate probes, place groups
+/// and resolve receptions.
+#[derive(Default)]
+struct BarrierScratch {
+    /// The barrier instant.
+    at: SimTime,
+    /// One batch per due cluster of the supergroup, ascending by cluster.
+    batches: Vec<ClusterBatch>,
+    /// Placement jobs of every batch, batch after batch; each taken
+    /// exactly once.
+    jobs: Vec<Mutex<Option<PlacementGroup<WireFrame>>>>,
+}
+
+/// Clusters that share shards, the shards hosting them, and the slice of
+/// the worker pool that executes them. A supergroup crosses its own
+/// clusters' fine boundaries with its own barrier scratch, so it never
+/// stalls the others; with one worker the whole fleet is one supergroup.
+struct Supergroup {
+    /// Shards executed by this supergroup, ascending.
+    shards: Vec<usize>,
+    /// Worker threads (at least one, at most one per shard).
+    workers: usize,
+    scratch: RwLock<BarrierScratch>,
+    /// Work-claim cursor of the threaded place phase (reset by the split
+    /// leader while every other worker is parked at the next wait).
+    cursor: AtomicUsize,
+    /// Placed groups of the place phase, keyed by job index.
+    placed: Mutex<Vec<(usize, PlacedGroup<WireFrame>)>>,
+}
+
+impl Supergroup {
+    /// Place one claimed job (pure window arithmetic: the probes already
+    /// answered every carrier-sense question, so no link model is needed).
+    fn place_job(&self, scratch: &BarrierScratch, i: usize) {
+        let job = scratch.jobs[i]
+            .lock()
+            .expect("job")
+            .take()
+            .expect("each job claimed exactly once");
+        let placed = job.place(scratch.at);
+        self.placed.lock().expect("placed").push((i, placed));
+    }
+}
+
+/// Wall-clock accounting of one coupled run. Each measured span is
+/// charged once: epoch execution and reception resolution to the shard
+/// that runs them; probe and placement slices to a hosting shard of their
+/// cluster (rotated by stop in the serial executor, the claiming worker's
+/// first shard in the threaded one); a cluster's leader phases (collect,
+/// split, merge and drain, frame ops) to its hosting shard when it has
+/// exactly one, else to `serial`; backplane routing to `serial`. Within
+/// a stop, one thread's spans meet end to start, so only time parked at
+/// a barrier goes uncharged. The critical path of the plan is
 /// `serial + max(per_shard)` — what the run costs once every shard has
 /// its own core.
 #[derive(Clone, Debug)]
 pub struct CoupledTiming {
-    /// Per-shard wall-clock (epoch execution + reception resolution), in
-    /// shard order.
+    /// Per-shard wall-clock, in shard order: the work a dedicated core
+    /// would bear.
     pub per_shard: Vec<Duration>,
-    /// Serial coordinator wall-clock (placement, backplane, routing).
+    /// Serial wall-clock: routing, plus the leader phases of clusters
+    /// spread over several shards.
     pub serial: Duration,
 }
 
@@ -342,20 +387,19 @@ pub(crate) struct EngineSetup {
     pub vehicles: Vec<NodeId>,
     pub bs_ids: Vec<NodeId>,
     /// Builds one link-model instance; called once per shard plus once
-    /// for the coordinator. Instances built from the same config agree
+    /// per cluster. Instances built from the same config agree
     /// link-for-link (per-link forked streams), which is what makes the
     /// partition irrelevant.
     pub link_factory: Box<dyn Fn() -> EngineLink>,
-    pub schedule: EpochSchedule,
-    /// Hierarchical epoch schedule for multi-cluster scenarios; `Some`
-    /// switches the engine into nested-barrier mode (see the module
-    /// docs). Must come with a matching `clusters` decomposition.
-    pub hierarchy: Option<HierarchicalSchedule>,
-    /// The contact-cluster decomposition behind `hierarchy`: every node
-    /// in exactly one cluster, clusters radio-disjoint. Empty when the
-    /// run is flat.
+    /// The epoch schedule: one fine schedule per contact cluster.
+    pub hierarchy: HierarchicalSchedule,
+    /// The contact-cluster decomposition behind `hierarchy`, in its
+    /// cluster order: every node in exactly one cluster, clusters
+    /// radio-disjoint.
     pub clusters: Vec<Vec<NodeId>>,
-    pub partition: EnginePartition,
+    /// The node partition: per shard, the nodes (vehicles and
+    /// basestations) it owns as lanes, each node in exactly one shard.
+    pub lanes: Vec<Vec<NodeId>>,
     /// Worker threads to execute the shards on (clamped to shard count).
     pub workers: usize,
 }
@@ -365,10 +409,9 @@ pub(crate) fn run(setup: EngineSetup) -> (RunOutcome, CoupledTiming) {
     Engine::build(setup).run()
 }
 
-/// Per-cluster radio runtime of a nested (hierarchical) run: the
-/// cluster's own shared-medium service, link-model instance, frame metas
-/// and buffered instrumentation ops. Clusters are radio-disjoint, so each
-/// cluster's fine barriers only ever touch its own `ClusterRt` — that is
+/// One cluster's radio runtime: its own shared-medium service,
+/// link-model instance and aux snapshots. Clusters are radio-disjoint, so a
+/// cluster's barrier phases only ever touch its own `ClusterRt` — that is
 /// what lets clusters synchronize without stalling each other. Every
 /// cluster's medium forks its backoff streams from the same `"mac"` root
 /// (per-node streams are keyed by node label, so the split changes
@@ -378,26 +421,23 @@ pub(crate) fn run(setup: EngineSetup) -> (RunOutcome, CoupledTiming) {
 struct ClusterRt {
     medium: SharedMediumService<WireFrame>,
     link: EngineLink,
-    meta: HashMap<TxHandle, FrameMeta>,
-    /// Resolution ops of this cluster's frames, appended to the global
-    /// log stream (cluster-index order) at outcome assembly — canonical
-    /// because the final `(at, lane, seq)` sort is partition-blind.
-    log_ops: Vec<LogOp>,
+    /// Aux-set snapshots of the instrumented vehicle's source data
+    /// frames, from placement to resolution.
+    aux: HashMap<TxHandle, Vec<NodeId>>,
 }
 
-/// Globally shared, barrier-serial state.
+/// Globally shared state: the backplane and the run's log.
 struct Coordinator {
-    medium: SharedMediumService<WireFrame>,
     backplane: Backplane,
-    link: EngineLink,
-    meta: HashMap<TxHandle, FrameMeta>,
+    /// Buffered log ops, replayed in canonical order at the end of the
+    /// run.
     log_ops: Vec<LogOp>,
     serial_wall: Duration,
     /// Monotone namespace counter for coordinator-emitted drop ops.
     drop_seq: u64,
     /// Loss draws for backplane spike windows. Only consumed while a
     /// spike is active, in canonical batch order, in the single-threaded
-    /// barrier section — so the stream is identical for every partition
+    /// routing phase — so the stream is identical for every partition
     /// and untouched by unfaulted runs.
     fault_rng: Rng,
     /// Backplane messages awaiting their retry instant.
@@ -411,19 +451,20 @@ struct Engine {
     vehicles: Vec<NodeId>,
     bs_ids: Vec<NodeId>,
     beacons: BeaconSchedule,
-    schedule: EpochSchedule,
+    hierarchy: HierarchicalSchedule,
     shards: Vec<Mutex<Shard>>,
     /// Which shard owns each node.
     owner: HashMap<NodeId, usize>,
     coord: Mutex<Coordinator>,
-    staged: RwLock<Staged>,
-    /// Parallel-barrier staging (probe plan, placement jobs).
-    scratch: RwLock<BarrierScratch>,
-    /// Work-claim cursor for the probe and place phases (reset by the
-    /// leader while every other worker is parked at the next wait).
-    cursor: AtomicUsize,
-    /// Placed groups accumulated by the place phase, merged canonically.
-    placed: Mutex<Vec<(usize, PlacedGroup<WireFrame>)>>,
+    /// Per-cluster radio runtimes.
+    clusters: Vec<Mutex<ClusterRt>>,
+    /// Which cluster each node belongs to.
+    cluster_of: HashMap<NodeId, usize>,
+    /// Shards hosting each cluster, ascending.
+    cluster_shards: Vec<Vec<usize>>,
+    supergroups: Vec<Supergroup>,
+    /// The supergroup of each cluster.
+    sg_of: Vec<usize>,
     workers: usize,
     /// The instrumented vehicle (first vehicle; owns the packet log).
     v0: NodeId,
@@ -431,16 +472,6 @@ struct Engine {
     faulted: bool,
     /// The run's root RNG (restart streams fork from it on demand).
     rng: Rng,
-    /// Nested mode (multi-cluster scenarios): the two-level schedule and
-    /// the cluster machinery. `None` runs the flat single-level barrier
-    /// loop, byte-for-byte the pre-hierarchy engine.
-    hierarchy: Option<HierarchicalSchedule>,
-    /// Which cluster owns each node (nested mode only).
-    cluster_of: HashMap<NodeId, usize>,
-    /// Per-cluster radio runtimes (nested mode only).
-    cluster_rts: Vec<Mutex<ClusterRt>>,
-    /// Shards hosting each cluster, ascending (nested mode only).
-    cluster_shards: Vec<Vec<usize>>,
 }
 
 impl Engine {
@@ -450,13 +481,17 @@ impl Engine {
             vehicles,
             bs_ids,
             link_factory,
-            schedule,
             hierarchy,
             clusters,
-            partition,
+            lanes,
             workers,
         } = setup;
         assert!(!vehicles.is_empty() && !bs_ids.is_empty());
+        assert_eq!(
+            hierarchy.clusters(),
+            clusters.len(),
+            "hierarchy and decomposition must agree"
+        );
         let rng = Rng::new(cfg.seed);
         let beacons = BeaconSchedule::new(cfg.vifi.beacon_period, &rng);
         let v0 = vehicles[0];
@@ -496,15 +531,46 @@ impl Engine {
             }
         }
 
+        // The decomposition and schedule are pure functions of the
+        // scenario, so the sequential run and every sharded run build
+        // identical cluster runtimes — the medium split is invisible to
+        // placement because clusters are radio-disjoint and per-node
+        // backoff streams fork by label from one root.
+        let mut cluster_of = HashMap::new();
+        for (c, members) in clusters.iter().enumerate() {
+            for &n in members {
+                let prev = cluster_of.insert(n, c);
+                assert!(prev.is_none(), "node {n:?} in two clusters");
+            }
+        }
+        let cluster_rts = (0..clusters.len())
+            .map(|c| {
+                Mutex::new(ClusterRt {
+                    medium: SharedMediumService::new(cfg.mac, &rng.fork_named("mac"))
+                        .with_handle_base((c as u64) << 48),
+                    link: link_factory(),
+                    aux: HashMap::new(),
+                })
+            })
+            .collect();
+
         let mut owner = HashMap::new();
-        let mut shards = Vec::with_capacity(partition.lanes.len());
-        for (s, lane_nodes) in partition.lanes.iter().enumerate() {
-            let mut nodes = lane_nodes.clone();
-            nodes.sort_by_key(|n| n.index());
+        let mut cluster_shards = vec![Vec::new(); clusters.len()];
+        let mut shards = Vec::with_capacity(lanes.len());
+        for (s, lane_nodes) in lanes.iter().enumerate() {
+            let mut nodes: Vec<(NodeId, usize)> = lane_nodes
+                .iter()
+                .map(|n| (*n, *cluster_of.get(n).expect("every node has a cluster")))
+                .collect();
+            nodes.sort_by_key(|(n, _)| n.index());
             let mut cells = HashMap::new();
-            for &n in &nodes {
+            for &(n, c) in &nodes {
                 let prev = owner.insert(n, s);
                 assert!(prev.is_none(), "node {n:?} assigned to two shards");
+                let hosting: &mut Vec<usize> = &mut cluster_shards[c];
+                if hosting.last() != Some(&s) {
+                    hosting.push(s);
+                }
                 let role = if bs_ids.contains(&n) {
                     Role::Bs
                 } else {
@@ -542,7 +608,6 @@ impl Engine {
                 bp_sends: Vec::new(),
                 x_msgs: Vec::new(),
                 log_ops: Vec::new(),
-                reports: Vec::new(),
                 salvaged: 0,
                 faults: FaultStats::default(),
                 wall: Duration::ZERO,
@@ -554,10 +619,7 @@ impl Engine {
         );
 
         let coord = Coordinator {
-            medium: SharedMediumService::new(cfg.mac, &rng.fork_named("mac")),
             backplane: Backplane::new(cfg.backplane),
-            link: link_factory(),
-            meta: HashMap::new(),
             log_ops: Vec::new(),
             serial_wall: Duration::ZERO,
             drop_seq: 0,
@@ -565,217 +627,43 @@ impl Engine {
             retries: Vec::new(),
             tally: FaultStats::default(),
         };
-        // Nested-mode cluster machinery. The decomposition and schedule
-        // are pure functions of the scenario, so the sequential run and
-        // every sharded run build identical cluster runtimes — the
-        // medium split is invisible to placement because clusters are
-        // radio-disjoint and per-node backoff streams fork by label from
-        // the same root as the flat medium.
-        let mut cluster_of = HashMap::new();
-        let mut cluster_rts = Vec::with_capacity(clusters.len());
-        let mut cluster_shards = vec![Vec::new(); clusters.len()];
-        if let Some(h) = &hierarchy {
-            assert_eq!(
-                h.clusters(),
-                clusters.len(),
-                "hierarchy and decomposition must agree"
-            );
-            for (c, members) in clusters.iter().enumerate() {
-                for &n in members {
-                    let prev = cluster_of.insert(n, c);
-                    assert!(prev.is_none(), "node {n:?} in two clusters");
-                }
-                cluster_rts.push(Mutex::new(ClusterRt {
-                    medium: SharedMediumService::new(cfg.mac, &rng.fork_named("mac"))
-                        .with_handle_base((c as u64) << 48),
-                    link: link_factory(),
-                    meta: HashMap::new(),
-                    log_ops: Vec::new(),
-                }));
-            }
-            for (s, lane_nodes) in partition.lanes.iter().enumerate() {
-                for n in lane_nodes {
-                    let c = *cluster_of.get(n).expect("every node has a cluster");
-                    let hosts: &mut Vec<usize> = &mut cluster_shards[c];
-                    if hosts.last() != Some(&s) {
-                        hosts.push(s);
-                    }
-                }
-            }
-        }
-        let workers = workers.clamp(1, partition.lanes.len());
+        let workers = workers.clamp(1, lanes.len());
+        let sizes: Vec<usize> = clusters.iter().map(Vec::len).collect();
+        let (supergroups, sg_of) = pack_supergroups(&cluster_shards, &sizes, lanes.len(), workers);
         let faulted = !cfg.faults.is_empty();
         Engine {
             cfg,
             vehicles,
             bs_ids,
             beacons,
-            schedule,
+            hierarchy,
             shards,
             owner,
             coord: Mutex::new(coord),
-            staged: RwLock::new(Staged::default()),
-            scratch: RwLock::new(BarrierScratch::default()),
-            cursor: AtomicUsize::new(0),
-            placed: Mutex::new(Vec::new()),
+            clusters: cluster_rts,
+            cluster_of,
+            cluster_shards,
+            supergroups,
+            sg_of,
             workers,
             v0,
             faulted,
             rng,
-            hierarchy,
-            cluster_of,
-            cluster_rts,
-            cluster_shards,
         }
     }
 
     fn run(self) -> (RunOutcome, CoupledTiming) {
-        if self.hierarchy.is_some() {
-            return self.run_nested();
-        }
         let horizon = SimTime::ZERO + self.cfg.duration;
-        let boundaries = self.schedule.boundaries(horizon);
-        // Drain floor for the final barrier: only frames whose airtime
-        // ends within the horizon resolve (and get logged) — a frame
-        // still in the air when the run ends leaves no record, matching
-        // the per-event loop's behavior at the tail.
-        let final_next = SimTime::from_micros(horizon.as_micros() + 1);
         self.seed_shards(horizon);
-
         if self.workers <= 1 {
-            // Serial executor: identical phases, no thread handoff. The
-            // per-shard walls measured here are what each shard would cost
-            // on a core of its own — the parallel probe/place phases are
-            // therefore timed in per-shard slices rotated by epoch index,
-            // exactly the work each shard's core would absorb in a
-            // threaded run with balanced assignment.
-            for (bi, &b) in boundaries.iter().enumerate() {
-                for shard in &self.shards {
-                    let mut sh = shard.lock().expect("shard");
-                    let t0 = Instant::now();
-                    self.exec_epoch(&mut sh, b.min(horizon), false);
-                    sh.wall += t0.elapsed();
-                }
-                let next = boundaries.get(bi + 1).map(|&n| n.min(horizon));
-                self.barrier_collect(b);
-                {
-                    let scratch = self.scratch.read().expect("scratch");
-                    if let Some(probes) = scratch.probes.as_ref() {
-                        let (total, n) = (probes.len(), self.shards.len());
-                        for j in 0..n {
-                            let (lo, hi) = (j * total / n, (j + 1) * total / n);
-                            if lo == hi {
-                                continue;
-                            }
-                            // Rotate wall attribution by epoch so small
-                            // batches don't pile onto shard 0's core.
-                            let mut sh = self.shards[(j + bi) % n].lock().expect("shard");
-                            let t0 = Instant::now();
-                            self.eval_probes(&scratch, lo..hi, sh.link.as_ref());
-                            sh.wall += t0.elapsed();
-                        }
-                    }
-                }
-                self.barrier_split(b);
-                {
-                    let scratch = self.scratch.read().expect("scratch");
-                    for i in 0..scratch.jobs.len() {
-                        let n = self.shards.len();
-                        let mut sh = self.shards[(i + bi) % n].lock().expect("shard");
-                        let t0 = Instant::now();
-                        self.place_job(&scratch, i);
-                        sh.wall += t0.elapsed();
-                    }
-                }
-                self.barrier_merge_route(b, next.unwrap_or(final_next));
-                for shard in &self.shards {
-                    let mut sh = shard.lock().expect("shard");
-                    let t0 = Instant::now();
-                    self.resolution_phase(&mut sh);
-                    sh.wall += t0.elapsed();
-                }
-                self.barrier_serial_post();
-            }
-            for shard in &self.shards {
-                let mut sh = shard.lock().expect("shard");
-                let t0 = Instant::now();
-                self.exec_epoch(&mut sh, horizon, true);
-                sh.wall += t0.elapsed();
-            }
+            self.run_serial(horizon);
         } else {
-            // Threaded executor: workers own interleaved shard subsets;
-            // each barrier's leader runs the coordinator sections while
-            // the rest wait — the conservative lock-step the schedule
-            // prescribes.
-            let barrier = EpochBarrier::new(self.workers);
-            let engine = &self;
-            let boundaries = &boundaries;
-            std::thread::scope(|scope| {
-                for w in 0..engine.workers {
-                    let barrier = &barrier;
-                    scope.spawn(move || {
-                        let my_shards: Vec<usize> =
-                            (w..engine.shards.len()).step_by(engine.workers).collect();
-                        for (bi, &b) in boundaries.iter().enumerate() {
-                            for &si in &my_shards {
-                                let mut sh = engine.shards[si].lock().expect("shard");
-                                let t0 = Instant::now();
-                                engine.exec_epoch(&mut sh, b.min(horizon), false);
-                                sh.wall += t0.elapsed();
-                            }
-                            let next = boundaries.get(bi + 1).map(|&n| n.min(horizon));
-                            if barrier.wait() {
-                                engine.barrier_collect(b);
-                            }
-                            barrier.wait();
-                            // Parallel audibility probes, then parallel
-                            // group placement — each worker drains the
-                            // shared cursor with its own shard's link
-                            // (quality_hint is pure and
-                            // instance-independent, so any instance
-                            // gives bit-identical answers).
-                            {
-                                let mut sh = engine.shards[my_shards[0]].lock().expect("shard");
-                                let t0 = Instant::now();
-                                engine.drain_probes(sh.link.as_ref());
-                                sh.wall += t0.elapsed();
-                            }
-                            if barrier.wait() {
-                                engine.barrier_split(b);
-                            }
-                            barrier.wait();
-                            {
-                                let mut sh = engine.shards[my_shards[0]].lock().expect("shard");
-                                let t0 = Instant::now();
-                                engine.drain_jobs();
-                                sh.wall += t0.elapsed();
-                            }
-                            if barrier.wait() {
-                                engine.barrier_merge_route(b, next.unwrap_or(final_next));
-                            }
-                            barrier.wait();
-                            for &si in &my_shards {
-                                let mut sh = engine.shards[si].lock().expect("shard");
-                                let t0 = Instant::now();
-                                engine.resolution_phase(&mut sh);
-                                sh.wall += t0.elapsed();
-                            }
-                            if barrier.wait() {
-                                engine.barrier_serial_post();
-                            }
-                            barrier.wait();
-                        }
-                        for &si in &my_shards {
-                            let mut sh = engine.shards[si].lock().expect("shard");
-                            let t0 = Instant::now();
-                            engine.exec_epoch(&mut sh, horizon, true);
-                            sh.wall += t0.elapsed();
-                        }
-                    });
-                }
-            });
+            self.run_threaded(horizon);
         }
-
+        let clock = &mut Instant::now();
+        for si in 0..self.shards.len() {
+            self.on_shard(si, clock, |sh| self.exec_epoch(sh, horizon, true));
+        }
         self.assemble_outcome(horizon)
     }
 
@@ -787,23 +675,19 @@ impl Engine {
     fn seed_shards(&self, horizon: SimTime) {
         for shard in &self.shards {
             let mut sh = shard.lock().expect("shard");
-            for i in 0..sh.nodes.len() {
-                let n = sh.nodes[i];
+            let nodes: Vec<NodeId> = sh.nodes.iter().map(|&(n, _)| n).collect();
+            for &n in &nodes {
                 let at = self.beacons.next_after(n, SimTime::ZERO);
                 sh.sched.at(at, (n, Ev::Beacon));
             }
-            if self.faulted {
-                for i in 0..sh.nodes.len() {
-                    let n = sh.nodes[i];
-                    for w in self.cfg.faults.crash_windows(n) {
-                        if w.end < horizon {
-                            sh.sched.at(w.end, (n, Ev::FaultUp));
-                        }
+            for &n in nodes.iter().filter(|_| self.faulted) {
+                for w in self.cfg.faults.crash_windows(n) {
+                    if w.end < horizon {
+                        sh.sched.at(w.end, (n, Ev::FaultUp));
                     }
                 }
             }
-            for i in 0..sh.nodes.len() {
-                let n = sh.nodes[i];
+            for &n in &nodes {
                 if sh.cells[&n].host.is_some() {
                     self.with_driver(&mut sh, n, SimTime::ZERO, |d, api| d.start(api));
                 }
@@ -812,383 +696,152 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Nested executor (multi-cluster scenarios)
+    // Executors
     // ------------------------------------------------------------------
 
-    /// The nested-barrier run loop: each cluster walks its own fine
-    /// schedule against its own radio runtime, and the whole fleet
-    /// rendezvouses only at coarse boundaries, where the thin backplane
-    /// coupling (wired hops, partitions, spikes) resolves in canonical
-    /// order. Outcomes are a pure function of `(config, seed, hierarchy)`
-    /// — identical at every shard and worker count — because every phase
-    /// below runs at schedule-determined instants in schedule-determined
-    /// order, exactly like the flat loop.
-    fn run_nested(self) -> (RunOutcome, CoupledTiming) {
-        let horizon = SimTime::ZERO + self.cfg.duration;
-        let hierarchy = self.hierarchy.as_ref().expect("nested run");
-        let bounds = hierarchy.boundaries(horizon);
-        let final_next = SimTime::from_micros(horizon.as_micros() + 1);
-        let cluster_bounds: Vec<Vec<SimTime>> = (0..hierarchy.clusters())
-            .map(|c| hierarchy.cluster_boundaries(c, horizon))
+    /// Serial executor: every phase on the calling thread, in the
+    /// threaded executor's order. The per-shard walls measured here are
+    /// what each shard would cost on a core of its own, so the parallel
+    /// probe and place phases are timed in slices rotated over each
+    /// cluster's hosting shards by stop index — the work each core would
+    /// absorb in a threaded run with balanced claims.
+    fn run_serial(&self, horizon: SimTime) {
+        // One thread runs every phase, so it holds every scratch for the
+        // whole run.
+        let mut scratches: Vec<_> = self
+            .supergroups
+            .iter()
+            .map(|sg| sg.scratch.write().expect("scratch"))
             .collect();
-        self.seed_shards(horizon);
-
-        if self.workers <= 1 {
-            // Serial nested executor: every shard executes to each union
-            // boundary, then the due clusters' pipelines run in cluster
-            // order, then (at coarse instants) the global rendezvous —
-            // the same per-shard event interleaving the threaded
-            // executor produces.
-            for (i, &(t, mask, is_coarse)) in bounds.iter().enumerate() {
-                let coarse = is_coarse || i + 1 == bounds.len();
-                for shard in &self.shards {
-                    let mut sh = shard.lock().expect("shard");
-                    let t0 = Instant::now();
-                    self.exec_epoch(&mut sh, t.min(horizon), false);
-                    sh.wall += t0.elapsed();
-                }
-                for (c, cb) in cluster_bounds.iter().enumerate() {
-                    if mask & (1 << c) != 0 {
-                        self.cluster_pipeline(c, t, next_boundary(cb, t, horizon, final_next));
-                    }
-                }
-                if coarse {
-                    self.global_coarse(t);
-                }
+        let sense = self.cfg.mac.sense_threshold;
+        let mut walk = self.hierarchy.walk(horizon);
+        let mut stop = 0usize;
+        while let Some(at) = walk.advance() {
+            let clock = &mut Instant::now();
+            for si in 0..self.shards.len() {
+                self.on_shard(si, clock, |sh| self.exec_epoch(sh, at.min(horizon), false));
             }
-        } else {
-            self.run_nested_threaded(&bounds, &cluster_bounds, horizon, final_next);
+            for (g, sg) in self.supergroups.iter().enumerate() {
+                let scratch = &mut *scratches[g];
+                self.collect(g, scratch, &walk, at, horizon, clock);
+                self.slices(
+                    scratch,
+                    stop,
+                    clock,
+                    |b| b.audible.len(),
+                    |sh, b, r| b.eval_probes(scratch.at, r, sh.link.as_ref(), sense),
+                );
+                self.split(sg, scratch, clock);
+                self.slices(
+                    scratch,
+                    stop,
+                    clock,
+                    |b| b.jobs.len(),
+                    |_, b, r| r.for_each(|i| sg.place_job(scratch, b.jobs.start + i)),
+                );
+                self.merge(sg, scratch, clock);
+                for &si in &sg.shards {
+                    self.resolve(scratch, si, clock);
+                }
+                self.frame_ops(scratch, clock);
+            }
+            if walk.rendezvous() {
+                self.route(at, clock);
+            }
+            stop += 1;
         }
-
-        for shard in &self.shards {
-            let mut sh = shard.lock().expect("shard");
-            let t0 = Instant::now();
-            self.exec_epoch(&mut sh, horizon, true);
-            sh.wall += t0.elapsed();
-        }
-        self.assemble_outcome(horizon)
     }
 
-    /// The threaded nested executor. Clusters that share a shard are
-    /// grouped (a shard's events must be executed by exactly one worker);
-    /// groups are packed into `min(workers, groups)` supergroups, each
-    /// with its own slice of the worker pool and its own cluster barrier
-    /// in a [`NestedEpochBarrier`] — so a supergroup's fine boundaries
-    /// never stall the others, and only coarse boundaries synchronize the
-    /// whole pool.
-    fn run_nested_threaded(
-        &self,
-        bounds: &[(SimTime, u64, bool)],
-        cluster_bounds: &[Vec<SimTime>],
-        horizon: SimTime,
-        final_next: SimTime,
-    ) {
-        let nc = cluster_bounds.len();
-        // Group clusters that share a shard (union-find over clusters).
-        let mut parent: Vec<usize> = (0..nc).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        let mut shard_cluster: HashMap<usize, usize> = HashMap::new();
-        for (c, hosts) in self.cluster_shards.iter().enumerate() {
-            for &s in hosts {
-                match shard_cluster.get(&s) {
-                    Some(&d) => {
-                        let (a, b) = (find(&mut parent, c), find(&mut parent, d));
-                        if a != b {
-                            parent[a.max(b)] = a.min(b);
-                        }
-                    }
-                    None => {
-                        shard_cluster.insert(s, c);
-                    }
-                }
-            }
-        }
-        // Groups in order of their smallest cluster.
-        let mut group_of_root: HashMap<usize, usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for c in 0..nc {
-            let r = find(&mut parent, c);
-            let g = *group_of_root.entry(r).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[g].push(c);
-        }
-        // Pack groups into supergroups (LPT by node count, deterministic
-        // tie-breaks), then split the worker pool proportionally.
-        let group_w: Vec<usize> = groups
-            .iter()
-            .map(|g| {
-                g.iter()
-                    .map(|&c| self.cluster_of.values().filter(|&&x| x == c).count())
-                    .sum()
-            })
-            .collect();
-        let nsg = self.workers.min(groups.len());
-        let mut order: Vec<usize> = (0..groups.len()).collect();
-        order.sort_by_key(|&g| (std::cmp::Reverse(group_w[g]), g));
-        let mut sg_clusters: Vec<Vec<usize>> = vec![Vec::new(); nsg];
-        let mut sg_load = vec![0usize; nsg];
-        for g in order {
-            let lightest = (0..nsg).min_by_key(|&k| (sg_load[k], k)).expect(">=1");
-            sg_load[lightest] += group_w[g];
-            sg_clusters[lightest].extend(groups[g].iter().copied());
-        }
-        for cs in &mut sg_clusters {
-            cs.sort_unstable();
-        }
-        // Worker counts per supergroup: largest remainder on load, each
-        // at least one, summing to the pool.
-        let total: usize = sg_load.iter().sum::<usize>().max(1);
-        let extra = self.workers - nsg;
-        let mut counts = vec![1usize; nsg];
-        let mut given = 0usize;
-        let mut rem: Vec<(usize, usize)> = Vec::with_capacity(nsg);
-        for k in 0..nsg {
-            let exact = extra * sg_load[k];
-            counts[k] += exact / total;
-            given += exact / total;
-            rem.push((exact % total, k));
-        }
-        rem.sort_by_key(|&(r, k)| (std::cmp::Reverse(r), k));
-        for &(_, k) in rem.iter().take(extra - given) {
-            counts[k] += 1;
-        }
-        // Shards of each supergroup: every hosting shard of its clusters,
-        // plus empty shards round-robined across supergroups.
-        let mut sg_of_shard: Vec<Option<usize>> = vec![None; self.shards.len()];
-        for (k, cs) in sg_clusters.iter().enumerate() {
-            for &c in cs {
-                for &s in &self.cluster_shards[c] {
-                    sg_of_shard[s] = Some(k);
-                }
-            }
-        }
-        let mut sg_shards: Vec<Vec<usize>> = vec![Vec::new(); nsg];
-        let mut spare = 0usize;
-        for (s, k) in sg_of_shard.iter().enumerate() {
-            match k {
-                Some(k) => sg_shards[*k].push(s),
-                None => {
-                    sg_shards[spare % nsg].push(s);
-                    spare += 1;
-                }
-            }
-        }
-        let sg_mask: Vec<u64> = sg_clusters
-            .iter()
-            .map(|cs| cs.iter().fold(0u64, |m, &c| m | (1 << c)))
-            .collect();
-
-        let barrier = NestedEpochBarrier::new(&counts);
-        let engine = &self;
-        let counts = &counts;
+    /// Threaded executor: each supergroup's workers own interleaved
+    /// slices of its shards and cross its clusters' boundaries on their
+    /// own barrier of a [`NestedEpochBarrier`], so one supergroup's fine
+    /// boundaries never stall another; every worker meets at rendezvous
+    /// stops. The last worker to arrive at a wait runs the following
+    /// leader phase while the rest stay parked.
+    fn run_threaded(&self, horizon: SimTime) {
+        let sizes: Vec<usize> = self.supergroups.iter().map(|sg| sg.workers).collect();
+        let barrier = &NestedEpochBarrier::new(&sizes);
         std::thread::scope(|scope| {
-            for sg in 0..nsg {
-                for k in 0..counts[sg] {
-                    let barrier = &barrier;
-                    let (sg_shards, sg_clusters, sg_mask) = (&sg_shards, &sg_clusters, &sg_mask);
-                    scope.spawn(move || {
-                        let my_shards: Vec<usize> = sg_shards[sg]
-                            .iter()
-                            .copied()
-                            .skip(k)
-                            .step_by(counts[sg])
-                            .collect();
-                        for (i, &(t, mask, is_coarse)) in bounds.iter().enumerate() {
-                            let coarse = is_coarse || i + 1 == bounds.len();
-                            if !coarse && mask & sg_mask[sg] == 0 {
-                                // None of this supergroup's clusters has a
-                                // boundary here: free-run past it. Event
-                                // execution is chunk-invariant, so the
-                                // skipped span is absorbed by the next
-                                // participating boundary.
-                                continue;
-                            }
-                            for &si in &my_shards {
-                                let mut sh = engine.shards[si].lock().expect("shard");
-                                let t0 = Instant::now();
-                                engine.exec_epoch(&mut sh, t.min(horizon), false);
-                                sh.wall += t0.elapsed();
-                            }
-                            if barrier.wait_cluster(sg) {
-                                for &c in &sg_clusters[sg] {
-                                    if mask & (1 << c) != 0 {
-                                        engine.cluster_pipeline(
-                                            c,
-                                            t,
-                                            next_boundary(
-                                                &cluster_bounds[c],
-                                                t,
-                                                horizon,
-                                                final_next,
-                                            ),
-                                        );
-                                    }
-                                }
-                            }
-                            barrier.wait_cluster(sg);
-                            if coarse {
-                                if barrier.wait_global() {
-                                    engine.global_coarse(t);
-                                }
-                                barrier.wait_global();
-                            }
-                        }
-                    });
+            for (g, sg) in self.supergroups.iter().enumerate() {
+                for k in 0..sg.workers {
+                    scope.spawn(move || self.worker(g, k, barrier, horizon));
                 }
             }
         });
     }
 
-    /// One cluster's fine barrier: collect the cluster's transmission
-    /// requests from its hosting shards, place them on the cluster's own
-    /// medium, and resolve the frames ending before the cluster's next
-    /// boundary — the leader-serial analogue of the flat barrier's
-    /// collect/split/place/merge/resolve phases, confined to one
-    /// radio-disjoint cluster. Backplane sends and cross-lane messages
-    /// stay buffered in the shards until the coarse rendezvous.
-    fn cluster_pipeline(&self, c: usize, b: SimTime, next: SimTime) {
-        let t0 = Instant::now();
-        let mut rt = self.cluster_rts[c].lock().expect("cluster rt");
-
-        // ---- collect this cluster's requests, hosting shards in order --
-        let mut requests: Vec<TxRequest<WireFrame>> = Vec::new();
-        for &si in &self.cluster_shards[c] {
-            let mut sh = self.shards[si].lock().expect("shard");
-            let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut sh.tx_requests)
-                .into_iter()
-                .partition(|r| self.cluster_of[&r.frame.src] == c);
-            sh.tx_requests = rest;
-            requests.extend(mine);
-        }
-        requests.sort_by_key(|r| (r.t_req, r.frame.src.label()));
-
-        // ---- aux snapshots ----
-        // The instrumented vehicle's source data frames are transmitted
-        // by v0 itself or by a BS in radio contact with it, so they only
-        // ever appear in v0's own cluster — the lock below never races
-        // another cluster's pipeline.
-        let metas: Vec<FrameMeta> = requests
-            .iter()
-            .map(|r| {
-                let aux_set = match DataView::of(&r.frame.payload) {
-                    Some(d)
-                        if d.relayed_by().is_none()
-                            && self.flow_vehicle(d.flow_src(), d.flow_dst()) == self.v0 =>
-                    {
-                        let mut sh = self.shards[self.owner[&self.v0]].lock().expect("shard");
-                        let cell = sh.cells.get_mut(&self.v0).expect("v0 cell");
-                        Some(cell.endpoint.current_aux(b))
-                    }
-                    _ => None,
-                };
-                FrameMeta { aux_set }
-            })
-            .collect();
-        let senders: Vec<NodeId> = requests.iter().map(|r| r.frame.src).collect();
-
-        // ---- place on the cluster's own medium, drain resolvable ----
-        let ClusterRt {
-            medium,
-            link,
-            meta,
-            log_ops,
-        } = &mut *rt;
-        let groups = medium.split_batch(requests, b, link.as_ref());
-        let placed: Vec<PlacedGroup<WireFrame>> = groups.into_iter().map(|g| g.place(b)).collect();
-        let placements = medium.merge_placed(placed, b, link.as_ref());
-        for (p, m) in placements.iter().zip(metas) {
-            meta.insert(p.handle, m);
-        }
-        let resolvable = medium.drain_resolvable(next);
-
-        // ---- per hosting shard: TxDone + reception sampling ----
-        // Each receiver samples on its owner shard's link instance, as in
-        // flat mode; restricting to the cluster's own nodes is pure
-        // stream hygiene (cross-cluster pairs have zero quality and never
-        // consume link randomness).
-        let sense = self.cfg.mac.sense_threshold;
-        let mut by_handle: HashMap<TxHandle, Vec<NodeId>> = HashMap::new();
-        for &si in &self.cluster_shards[c] {
-            let mut sh = self.shards[si].lock().expect("shard");
-            for (src, p) in senders.iter().zip(&placements) {
-                if sh.cells.contains_key(src) {
-                    sh.sched.at(p.end, (*src, Ev::TxDone));
-                }
+    /// Worker `k` of supergroup `g`: walks every stop, takes part in those
+    /// its clusters are due at and in every rendezvous.
+    fn worker(&self, g: usize, k: usize, barrier: &NestedEpochBarrier, horizon: SimTime) {
+        let sg = &self.supergroups[g];
+        let mine: Vec<usize> = sg.shards[k..].iter().step_by(sg.workers).copied().collect();
+        // Each phase starts its own clock: time parked at a barrier is
+        // charged to nobody.
+        let now = Instant::now;
+        let read = || sg.scratch.read().expect("scratch");
+        let write = || sg.scratch.write().expect("scratch");
+        let lead = |phase: &dyn Fn()| {
+            if barrier.wait_cluster(g) {
+                phase();
             }
-            for tx in &resolvable {
-                for idx in 0..sh.nodes.len() {
-                    let rx = sh.nodes[idx];
-                    if self.cluster_of[&rx] != c {
-                        continue;
-                    }
-                    if self.faulted && self.cfg.faults.bs_down(rx, tx.end) {
-                        sh.faults.rx_dropped_down += 1;
-                        continue;
-                    }
-                    if kernel::sample_reception(sh.link.as_mut(), tx, rx, sense).is_some() {
-                        sh.sched.at(tx.end, (rx, Ev::Rx(tx.frame.payload.clone())));
-                        by_handle.entry(tx.handle).or_default().push(rx);
-                    }
-                }
+            barrier.wait_cluster(g);
+        };
+        let mut walk = self.hierarchy.walk(horizon);
+        while let Some(at) = walk.advance() {
+            let rendezvous = walk.rendezvous();
+            if !rendezvous && !walk.due().iter().any(|&c| self.sg_of[c] == g) {
+                // None of this supergroup's clusters stops here: free-run
+                // (execution is chunk-invariant).
+                continue;
             }
-        }
-
-        // ---- per-frame instrumentation, canonical order ----
-        for (k, tx) in resolvable.iter().enumerate() {
-            let mut rx_ids = by_handle.remove(&tx.handle).unwrap_or_default();
-            rx_ids.sort_by_key(|n| n.index());
-            let m = meta.remove(&tx.handle);
-            self.emit_frame_ops(log_ops, tx, &rx_ids, m, SEQ_RESOLUTION + k as u64);
-        }
-        drop(rt);
-
-        // Stall model: every hosting shard waits for its cluster's
-        // pipeline, so the elapsed time lands on each of their walls (the
-        // fleet-wide serial wall only accrues at coarse boundaries).
-        let elapsed = t0.elapsed();
-        for &si in &self.cluster_shards[c] {
-            let mut sh = self.shards[si].lock().expect("shard");
-            sh.wall += elapsed;
+            let clock = &mut now();
+            for &si in &mine {
+                self.on_shard(si, clock, |sh| self.exec_epoch(sh, at.min(horizon), false));
+            }
+            lead(&|| self.collect(g, &mut write(), &walk, at, horizon, &mut now()));
+            self.claim_probes(&read(), mine[0], &mut now());
+            lead(&|| self.split(sg, &mut write(), &mut now()));
+            self.claim_jobs(sg, &read(), mine[0], &mut now());
+            lead(&|| self.merge(sg, &mut write(), &mut now()));
+            let clock = &mut now();
+            for &si in &mine {
+                self.resolve(&read(), si, clock);
+            }
+            if rendezvous {
+                // One global leader emits every supergroup's frame ops,
+                // then routes.
+                if barrier.wait_global() {
+                    let clock = &mut now();
+                    for sg in &self.supergroups {
+                        self.frame_ops(&mut sg.scratch.write().expect("scratch"), clock);
+                    }
+                    self.route(at, clock);
+                }
+                barrier.wait_global();
+            } else {
+                lead(&|| self.frame_ops(&mut write(), &mut now()));
+            }
         }
     }
 
-    /// The coarse rendezvous of a nested run: drain every shard's
-    /// backplane sends and cross-lane messages (shard order) and resolve
-    /// them through the same canonical routing tail the flat engine runs
-    /// at every epoch. This is the only phase where clusters exchange
-    /// effects — over the wired backplane, never over the air.
-    fn global_coarse(&self, b: SimTime) {
-        let t0 = Instant::now();
-        let mut coord = self.coord.lock().expect("coordinator");
-        let mut bp: Vec<BpSend> = Vec::new();
-        let mut xs: Vec<XMsg> = Vec::new();
-        for shard in &self.shards {
-            let mut sh = shard.lock().expect("shard");
-            bp.append(&mut sh.bp_sends);
-            xs.append(&mut sh.x_msgs);
-        }
-        self.route_global(&mut coord, bp, xs, b);
-        coord.serial_wall += t0.elapsed();
+    /// Run `f` on shard `si` and charge the span since `clock` to that
+    /// shard (see [`lap`]).
+    fn on_shard<R>(&self, si: usize, clock: &mut Instant, f: impl FnOnce(&mut Shard) -> R) -> R {
+        let mut sh = self.shards[si].lock().expect("shard");
+        let out = f(&mut sh);
+        lap(&mut sh.wall, clock);
+        out
     }
 
-    /// Dispatch one shard's events up to `limit` — exclusive between
-    /// epochs, inclusive on the final pass (matching the historical
-    /// `<= horizon` loop).
-    fn exec_epoch(&self, sh: &mut Shard, limit: SimTime, inclusive: bool) {
-        while let Some(t) = sh.sched.peek_time() {
-            if (inclusive && t > limit) || (!inclusive && t >= limit) {
-                break;
-            }
-            let (now, (lane, ev)) = sh.sched.step().expect("peeked event vanished");
-            self.dispatch(sh, lane, ev, now);
+    /// Charge the leader-phase span since `clock` to cluster `c`: its
+    /// hosting shard when it has exactly one, else the serial wall.
+    fn charge(&self, c: usize, clock: &mut Instant) {
+        match self.cluster_shards[c].as_slice() {
+            [si] => lap(&mut self.shards[*si].lock().expect("shard").wall, clock),
+            _ => lap(
+                &mut self.coord.lock().expect("coordinator").serial_wall,
+                clock,
+            ),
         }
     }
 
@@ -1196,201 +849,367 @@ impl Engine {
     // Barrier phases
     // ------------------------------------------------------------------
 
-    /// Leader phase 1: collect every shard's outbox, sort the epoch's
-    /// transmission batch into canonical order, snapshot frame metas, and
-    /// plan the audibility probes the batch partition needs. Publishes
-    /// the batch in the scratch area and resets the work cursor — legal
-    /// because every other worker is parked at the following wait.
-    fn barrier_collect(&self, b: SimTime) {
-        let t0 = Instant::now();
-        let mut coord = self.coord.lock().expect("coordinator");
+    /// Leader phase 1: gather each due cluster's transmission requests
+    /// from its hosting shards, sort the batch into canonical order,
+    /// snapshot aux sets, and plan the audibility probes its partition
+    /// needs. Publishes the batches — legal because every other worker
+    /// of the supergroup is parked at the following wait.
+    fn collect(
+        &self,
+        g: usize,
+        scratch: &mut BarrierScratch,
+        walk: &BoundaryWalk,
+        at: SimTime,
+        horizon: SimTime,
+        clock: &mut Instant,
+    ) {
+        // Past a cluster's last boundary, frames ending exactly at the
+        // horizon still resolve; one still in the air leaves no record.
+        let final_next = SimTime::from_micros(horizon.as_micros() + 1);
+        scratch.at = at;
+        scratch.batches.clear();
+        for &c in walk.due().iter().filter(|&&c| self.sg_of[c] == g) {
+            let mut requests: Vec<TxRequest<WireFrame>> = Vec::new();
+            for &si in &self.cluster_shards[c] {
+                let mut sh = self.shards[si].lock().expect("shard");
+                let mut i = 0;
+                while i < sh.tx_requests.len() {
+                    if self.cluster_of[&sh.tx_requests[i].frame.src] == c {
+                        requests.push(sh.tx_requests.swap_remove(i));
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+            requests.sort_by_key(|r| (r.t_req, r.frame.src.label()));
+            let auxes = requests.iter().map(|r| self.aux_snapshot(r, at)).collect();
+            let senders = requests.iter().map(|r| r.frame.src).collect();
+            let probes = (!requests.is_empty()).then(|| {
+                let rt = self.clusters[c].lock().expect("cluster rt");
+                rt.medium.partition_probes(&requests, at)
+            });
+            let audible = probes
+                .as_ref()
+                .map(|p| (0..p.len()).map(|_| AtomicBool::new(false)).collect())
+                .unwrap_or_default();
+            scratch.batches.push(ClusterBatch {
+                cluster: c,
+                next: walk.next_boundary(c).map_or(final_next, |n| n.min(horizon)),
+                requests,
+                auxes,
+                senders,
+                probes,
+                audible,
+                cursor: AtomicUsize::new(0),
+                jobs: 0..0,
+                placements: Vec::new(),
+                resolvable: Vec::new(),
+                heard: Mutex::new(Vec::new()),
+            });
+            self.charge(c, clock);
+        }
+    }
 
-        // ---- collect outboxes in shard order ----
-        let mut requests: Vec<TxRequest<WireFrame>> = Vec::new();
+    /// The aux-set snapshot of an instrumented vehicle's source data frame
+    /// (a cross-lane read — legal at a barrier, where every shard of the
+    /// vehicle's cluster is parked); `None` for every other frame. Such
+    /// frames are transmitted by v0 itself or by a BS in radio contact
+    /// with it, so they only ever appear in v0's own cluster.
+    fn aux_snapshot(&self, r: &TxRequest<WireFrame>, at: SimTime) -> Option<Vec<NodeId>> {
+        match DataView::of(&r.frame.payload) {
+            Some(d)
+                if d.relayed_by().is_none()
+                    && self.flow_vehicle(d.flow_src(), d.flow_dst()) == self.v0 =>
+            {
+                let mut sh = self.shards[self.owner[&self.v0]].lock().expect("shard");
+                let cell = sh.cells.get_mut(&self.v0).expect("v0 cell");
+                Some(cell.endpoint.current_aux(at))
+            }
+            _ => None,
+        }
+    }
+
+    /// Phases 2 and 4, serial form: each batch's `len(batch)` work items
+    /// in one contiguous slice per hosting shard of its cluster, rotated
+    /// by stop index, each slice timed on its shard.
+    fn slices(
+        &self,
+        scratch: &BarrierScratch,
+        stop: usize,
+        clock: &mut Instant,
+        len: fn(&ClusterBatch) -> usize,
+        work: impl Fn(&mut Shard, &ClusterBatch, Range<usize>),
+    ) {
+        for b in &scratch.batches {
+            let hosts = &self.cluster_shards[b.cluster];
+            let (total, n) = (len(b), hosts.len());
+            for j in 0..n {
+                let (lo, hi) = (j * total / n, (j + 1) * total / n);
+                if lo < hi {
+                    self.on_shard(hosts[(j + stop) % n], clock, |sh| work(sh, b, lo..hi));
+                }
+            }
+        }
+    }
+
+    /// Phase 2, threaded form: claim chunks of each batch's probes
+    /// through its cursor until none remain, timed on the worker's shard
+    /// `si` and probing with that shard's link.
+    fn claim_probes(&self, scratch: &BarrierScratch, si: usize, clock: &mut Instant) {
+        const CHUNK: usize = 8;
+        let sense = self.cfg.mac.sense_threshold;
+        self.on_shard(si, clock, |sh| {
+            for b in &scratch.batches {
+                let total = b.audible.len();
+                loop {
+                    let lo = b.cursor.fetch_add(CHUNK, Ordering::SeqCst);
+                    if lo >= total {
+                        break;
+                    }
+                    let range = lo..(lo + CHUNK).min(total);
+                    b.eval_probes(scratch.at, range, sh.link.as_ref(), sense);
+                }
+            }
+        });
+    }
+
+    /// Leader phase 3: union each batch's probe answers into its
+    /// partition and split it into placement jobs on its cluster's
+    /// medium. Resets the cursor for the place phase.
+    fn split(&self, sg: &Supergroup, scratch: &mut BarrierScratch, clock: &mut Instant) {
+        let BarrierScratch { at, batches, jobs } = scratch;
+        for b in batches.iter_mut() {
+            if let Some(probes) = b.probes.take() {
+                let audible: Vec<bool> =
+                    b.audible.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let groups = self.clusters[b.cluster]
+                    .lock()
+                    .expect("cluster rt")
+                    .medium
+                    .split_batch_resolved(std::mem::take(&mut b.requests), *at, &probes, &audible);
+                let lo = jobs.len();
+                jobs.extend(groups.into_iter().map(|g| Mutex::new(Some(g))));
+                b.jobs = lo..jobs.len();
+            }
+            self.charge(b.cluster, clock);
+        }
+        sg.cursor.store(0, Ordering::SeqCst);
+    }
+
+    /// Phase 4, threaded form: claim jobs through the cursor until none
+    /// remain, timed on the worker's shard `si`.
+    fn claim_jobs(
+        &self,
+        sg: &Supergroup,
+        scratch: &BarrierScratch,
+        si: usize,
+        clock: &mut Instant,
+    ) {
+        self.on_shard(si, clock, |_| loop {
+            let i = sg.cursor.fetch_add(1, Ordering::SeqCst);
+            if i >= scratch.jobs.len() {
+                break;
+            }
+            sg.place_job(scratch, i);
+        });
+    }
+
+    /// Leader phase 5: merge each batch's placed groups back into its
+    /// cluster's medium in canonical order, record aux snapshots, and drain
+    /// the frames ending before the cluster's next boundary.
+    fn merge(&self, sg: &Supergroup, scratch: &mut BarrierScratch, clock: &mut Instant) {
+        let mut placed = std::mem::take(&mut *sg.placed.lock().expect("placed"));
+        placed.sort_by_key(|(i, _)| *i);
+        let mut placed = placed.into_iter().map(|(_, g)| g);
+        let at = scratch.at;
+        scratch.jobs.clear();
+        for b in &mut scratch.batches {
+            let groups: Vec<PlacedGroup<WireFrame>> = placed.by_ref().take(b.jobs.len()).collect();
+            let mut rt = self.clusters[b.cluster].lock().expect("cluster rt");
+            let ClusterRt { medium, link, aux } = &mut *rt;
+            let placements = medium.merge_placed(groups, at, link.as_ref());
+            b.placements = b
+                .senders
+                .iter()
+                .zip(&placements)
+                .map(|(&src, p)| (src, p.end))
+                .collect();
+            for (p, a) in placements.iter().zip(std::mem::take(&mut b.auxes)) {
+                if let Some(a) = a {
+                    aux.insert(p.handle, a);
+                }
+            }
+            b.resolvable = medium.drain_resolvable(b.next);
+            drop(rt);
+            self.charge(b.cluster, clock);
+        }
+    }
+
+    /// Phase 6 on shard `si`, charged to that shard: schedule `TxDone`
+    /// for its own senders and sample its own receivers of every drained
+    /// frame through the pure MAC kernel and its own link-model instance
+    /// — only the members of the frame's cluster, the only nodes that can
+    /// hear it.
+    fn resolve(&self, scratch: &BarrierScratch, si: usize, clock: &mut Instant) {
+        let sense = self.cfg.mac.sense_threshold;
+        self.on_shard(si, clock, |sh| {
+            let hosted = scratch
+                .batches
+                .iter()
+                .filter(|b| self.cluster_shards[b.cluster].contains(&si));
+            for b in hosted {
+                let mut heard = Vec::new();
+                for &(src, end) in &b.placements {
+                    if sh.cells.contains_key(&src) {
+                        sh.sched.at(end, (src, Ev::TxDone));
+                    }
+                }
+                for tx in &b.resolvable {
+                    for &(rx, c) in &sh.nodes {
+                        if c != b.cluster {
+                            continue;
+                        }
+                        if self.faulted && self.cfg.faults.bs_down(rx, tx.end) {
+                            // A crashed node's radio hears nothing; skipping
+                            // the sample is a pure decision of `(rx, end)`,
+                            // so every partition consumes its per-link
+                            // streams identically.
+                            sh.faults.rx_dropped_down += 1;
+                            continue;
+                        }
+                        if kernel::sample_reception(sh.link.as_mut(), tx, rx, sense).is_some() {
+                            sh.sched.at(tx.end, (rx, Ev::Rx(tx.frame.payload.clone())));
+                            heard.push((tx.handle, rx));
+                        }
+                    }
+                }
+                if !heard.is_empty() {
+                    b.heard.lock().expect("heard").append(&mut heard);
+                }
+            }
+        });
+    }
+
+    /// Leader phase 7: merge each batch's receptions and emit the
+    /// instrumentation ops of its resolved frames, together with the log
+    /// ops the cluster's hosting shards buffered during the epoch.
+    fn frame_ops(&self, scratch: &mut BarrierScratch, clock: &mut Instant) {
+        for b in scratch.batches.drain(..) {
+            let mut heard: HashMap<TxHandle, Vec<NodeId>> = HashMap::new();
+            for (h, rx) in b.heard.lock().expect("heard").drain(..) {
+                heard.entry(h).or_default().push(rx);
+            }
+            let mut rt = self.clusters[b.cluster].lock().expect("cluster rt");
+            let mut coord = self.coord.lock().expect("coordinator");
+            for &si in &self.cluster_shards[b.cluster] {
+                let mut sh = self.shards[si].lock().expect("shard");
+                coord.log_ops.append(&mut sh.log_ops);
+            }
+            for (i, tx) in b.resolvable.iter().enumerate() {
+                let mut rx_ids = heard.remove(&tx.handle).unwrap_or_default();
+                rx_ids.sort_by_key(|n| n.index());
+                let aux_set = rt.aux.remove(&tx.handle);
+                self.emit_frame_ops(
+                    &mut coord.log_ops,
+                    tx,
+                    &rx_ids,
+                    aux_set,
+                    SEQ_RESOLUTION + i as u64,
+                );
+            }
+            drop((rt, coord));
+            let c = b.cluster;
+            drop(b);
+            self.charge(c, clock);
+        }
+    }
+
+    /// The per-frame instrumentation the per-event loop did in
+    /// `on_tx_done`, emitted as canonical log ops at `(end, tx lane)`.
+    fn emit_frame_ops(
+        &self,
+        ops: &mut Vec<LogOp>,
+        tx: &ResolvableTx<WireFrame>,
+        rx_ids: &[NodeId],
+        aux_set: Option<Vec<NodeId>>,
+        seq: u64,
+    ) {
+        let lane = tx.frame.src.label();
+        let at = tx.end;
+        // The frame stays packed: the fixed-offset views read the handful
+        // of header fields instrumentation needs without decoding the
+        // payload (beacons and other vehicles' data fall through).
+        if let Some(d) = DataView::of(&tx.frame.payload) {
+            if self.flow_vehicle(d.flow_src(), d.flow_dst()) != self.v0 {
+                return;
+            }
+            let dir = self.dir_of_src(d.flow_src());
+            ops.push(LogOp {
+                at,
+                lane,
+                seq,
+                op: LogOpKind::WirelessTx { dir },
+            });
+            let op = if let Some(relayer) = d.relayed_by() {
+                LogOpKind::Relay {
+                    id: d.id(),
+                    by: relayer,
+                    via_backplane: false,
+                    reached: rx_ids.contains(&d.flow_dst()),
+                }
+            } else {
+                let aux_set = aux_set.unwrap_or_default();
+                let aux_heard: Vec<NodeId> = rx_ids
+                    .iter()
+                    .copied()
+                    .filter(|n| aux_set.contains(n))
+                    .collect();
+                LogOpKind::SourceTx {
+                    id: d.id(),
+                    dir,
+                    dst_heard: rx_ids.contains(&d.flow_dst()),
+                    aux_set,
+                    aux_heard,
+                }
+            };
+            ops.push(LogOp { at, lane, seq, op });
+        } else if let Some(a) = AckView::of(&tx.frame.payload) {
+            let id = a.id();
+            let veh = if self.is_bs(id.origin) {
+                a.from()
+            } else {
+                id.origin
+            };
+            if veh == self.v0 {
+                ops.push(LogOp {
+                    at,
+                    lane,
+                    seq,
+                    op: LogOpKind::AckHeard {
+                        id,
+                        heard_by: rx_ids.to_vec(),
+                        dir: self.dir_of_src(id.origin),
+                    },
+                });
+            }
+        }
+    }
+
+    /// Phase 8, rendezvous stops only: drain every shard's backplane
+    /// sends and cross-lane messages (shard order), resolve the backplane
+    /// batch in canonical sender order with fault filtering, and route
+    /// cross-lane messages — the only phase where clusters exchange
+    /// effects, over the wired backplane, never over the air.
+    fn route(&self, b: SimTime, clock: &mut Instant) {
+        let mut guard = self.coord.lock().expect("coordinator");
+        let coord = &mut *guard;
         let mut bp: Vec<BpSend> = Vec::new();
         let mut xs: Vec<XMsg> = Vec::new();
         for shard in &self.shards {
             let mut sh = shard.lock().expect("shard");
-            requests.append(&mut sh.tx_requests);
             bp.append(&mut sh.bp_sends);
             xs.append(&mut sh.x_msgs);
-            let mut ops = std::mem::take(&mut sh.log_ops);
-            coord.log_ops.append(&mut ops);
         }
-
-        // ---- canonical batch order + aux snapshots ----
-        requests.sort_by_key(|r| (r.t_req, r.frame.src.label()));
-        // Aux snapshots for the instrumented vehicle's source data frames
-        // (cross-lane read — legal here: every shard is parked).
-        let metas: Vec<FrameMeta> = requests
-            .iter()
-            .map(|r| {
-                let aux_set = match DataView::of(&r.frame.payload) {
-                    Some(d)
-                        if d.relayed_by().is_none()
-                            && self.flow_vehicle(d.flow_src(), d.flow_dst()) == self.v0 =>
-                    {
-                        let mut sh = self.shards[self.owner[&self.v0]].lock().expect("shard");
-                        let cell = sh.cells.get_mut(&self.v0).expect("v0 cell");
-                        Some(cell.endpoint.current_aux(b))
-                    }
-                    _ => None,
-                };
-                FrameMeta { aux_set }
-            })
-            .collect();
-        let senders: Vec<NodeId> = requests.iter().map(|r| r.frame.src).collect();
-        let probes = (!requests.is_empty()).then(|| coord.medium.partition_probes(&requests, b));
-        let audible = probes
-            .as_ref()
-            .map(|p| (0..p.len()).map(|_| AtomicBool::new(false)).collect())
-            .unwrap_or_default();
-        *self.scratch.write().expect("scratch") = BarrierScratch {
-            requests,
-            metas,
-            senders,
-            bp,
-            xs,
-            at: b,
-            probes,
-            audible,
-            jobs: Vec::new(),
-        };
-        self.cursor.store(0, Ordering::SeqCst);
-        coord.serial_wall += t0.elapsed();
-    }
-
-    /// Parallel phase 2 helper: evaluate one range of audibility probes
-    /// against `link` (any instance — `quality_hint` is pure and
-    /// instance-independent) and record the audible ones.
-    fn eval_probes(&self, scratch: &BarrierScratch, range: Range<usize>, link: &dyn LinkModel) {
-        let probes = scratch.probes.as_ref().expect("probe plan published");
-        let sense = self.cfg.mac.sense_threshold;
-        for k in range {
-            if probes.eval(k, scratch.at, link, sense) {
-                scratch.audible[k].store(true, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Parallel phase 2, threaded form: claim probe chunks through the
-    /// shared cursor until the plan is exhausted.
-    fn drain_probes(&self, link: &dyn LinkModel) {
-        const CHUNK: usize = 8;
-        let scratch = self.scratch.read().expect("scratch");
-        let Some(probes) = scratch.probes.as_ref() else {
-            return;
-        };
-        loop {
-            let lo = self.cursor.fetch_add(CHUNK, Ordering::SeqCst);
-            if lo >= probes.len() {
-                break;
-            }
-            self.eval_probes(&scratch, lo..(lo + CHUNK).min(probes.len()), link);
-        }
-    }
-
-    /// Leader phase 3: union the probe answers into the batch partition
-    /// and split the batch into placement jobs. Resets the cursor for the
-    /// place phase (workers are parked at the following wait).
-    fn barrier_split(&self, b: SimTime) {
-        let t0 = Instant::now();
-        let mut coord = self.coord.lock().expect("coordinator");
-        let mut scratch = self.scratch.write().expect("scratch");
-        let requests = std::mem::take(&mut scratch.requests);
-        if let Some(probes) = scratch.probes.take() {
-            let audible: Vec<bool> = scratch
-                .audible
-                .iter()
-                .map(|a| a.load(Ordering::SeqCst))
-                .collect();
-            let groups = coord
-                .medium
-                .split_batch_resolved(requests, b, &probes, &audible);
-            scratch.jobs = groups.into_iter().map(|g| Mutex::new(Some(g))).collect();
-        }
-        self.cursor.store(0, Ordering::SeqCst);
-        coord.serial_wall += t0.elapsed();
-    }
-
-    /// Parallel phase 4 helper: place one claimed job (pure window
-    /// arithmetic — the probes already answered every carrier-sense
-    /// question, so no link model is involved).
-    fn place_job(&self, scratch: &BarrierScratch, i: usize) {
-        let job = scratch.jobs[i]
-            .lock()
-            .expect("job")
-            .take()
-            .expect("each job claimed exactly once");
-        let placed = job.place(scratch.at);
-        self.placed.lock().expect("placed").push((i, placed));
-    }
-
-    /// Parallel phase 4, threaded form: claim placement jobs through the
-    /// shared cursor until none remain.
-    fn drain_jobs(&self) {
-        let scratch = self.scratch.read().expect("scratch");
-        loop {
-            let i = self.cursor.fetch_add(1, Ordering::SeqCst);
-            if i >= scratch.jobs.len() {
-                break;
-            }
-            self.place_job(&scratch, i);
-        }
-    }
-
-    /// Leader phase 5: merge the placed groups back into the medium in
-    /// canonical order, drain resolvable frames, stage the resolution
-    /// inputs, resolve the backplane batch, and route cross-lane
-    /// messages — the serial tail of the old one-piece barrier.
-    fn barrier_merge_route(&self, b: SimTime, next: SimTime) {
-        let t0 = Instant::now();
-        let mut coord = self.coord.lock().expect("coordinator");
-        let mut scratch = self.scratch.write().expect("scratch");
-        let metas = std::mem::take(&mut scratch.metas);
-        let senders = std::mem::take(&mut scratch.senders);
-        let bp = std::mem::take(&mut scratch.bp);
-        let xs = std::mem::take(&mut scratch.xs);
-        scratch.jobs.clear();
-        drop(scratch);
-        let mut placed_groups = std::mem::take(&mut *self.placed.lock().expect("placed"));
-        placed_groups.sort_by_key(|(i, _)| *i);
-        let placements = {
-            let Coordinator { medium, link, .. } = &mut *coord;
-            medium.merge_placed(
-                placed_groups.into_iter().map(|(_, g)| g).collect(),
-                b,
-                link.as_ref(),
-            )
-        };
-        for (p, m) in placements.iter().zip(metas) {
-            coord.meta.insert(p.handle, m);
-        }
-        let resolvable = coord.medium.drain_resolvable(next);
-        *self.staged.write().expect("staged") = Staged {
-            placements: senders
-                .into_iter()
-                .zip(placements.iter().map(|p| p.end))
-                .collect(),
-            resolvable,
-        };
-
-        self.route_global(&mut coord, bp, xs, b);
-        coord.serial_wall += t0.elapsed();
-    }
-
-    /// The global routing tail of a barrier: resolve the backplane batch
-    /// in canonical sender order, apply backplane fault filtering, and
-    /// route cross-lane messages. In flat mode this runs at every epoch;
-    /// in nested mode only at coarse boundaries — the "thin backplane
-    /// coupling" the hierarchy rendezvouses for.
-    fn route_global(
-        &self,
-        coord: &mut Coordinator,
-        mut bp: Vec<BpSend>,
-        mut xs: Vec<XMsg>,
-        b: SimTime,
-    ) {
         // ---- backplane batch, canonical sender order per instant ----
         // Fault retries that came due during this epoch rejoin the batch
         // (their retry instant is the sort key, so ordering stays
@@ -1508,135 +1327,19 @@ impl Engine {
                 }
             }
         }
+        lap(&mut coord.serial_wall, clock);
     }
 
-    /// Parallel phase: each shard schedules TxDone for its own senders
-    /// and resolves its own receivers of every ending frame through the
-    /// pure MAC kernel and its own link-model instance.
-    fn resolution_phase(&self, sh: &mut Shard) {
-        let staged = self.staged.read().expect("staged");
-        for &(src, end) in &staged.placements {
-            if sh.cells.contains_key(&src) {
-                sh.sched.at(end, (src, Ev::TxDone));
+    /// Dispatch one shard's events up to `limit` — exclusive between
+    /// epochs, inclusive on the final pass (matching the historical
+    /// `<= horizon` loop).
+    fn exec_epoch(&self, sh: &mut Shard, limit: SimTime, inclusive: bool) {
+        while let Some(t) = sh.sched.peek_time() {
+            if (inclusive && t > limit) || (!inclusive && t >= limit) {
+                break;
             }
-        }
-        let sense = self.cfg.mac.sense_threshold;
-        for tx in &staged.resolvable {
-            for idx in 0..sh.nodes.len() {
-                let rx = sh.nodes[idx];
-                if self.faulted && self.cfg.faults.bs_down(rx, tx.end) {
-                    // A crashed node's radio hears nothing; skipping the
-                    // sample is a pure decision of `(rx, end)`, so every
-                    // partition consumes its per-link streams identically.
-                    sh.faults.rx_dropped_down += 1;
-                    continue;
-                }
-                if kernel::sample_reception(sh.link.as_mut(), tx, rx, sense).is_some() {
-                    sh.sched.at(tx.end, (rx, Ev::Rx(tx.frame.payload.clone())));
-                    sh.reports.push((tx.handle, rx));
-                }
-            }
-        }
-    }
-
-    /// Serial post-resolution phase: merge reception reports and emit the
-    /// instrumentation ops of every resolved frame.
-    fn barrier_serial_post(&self) {
-        let t0 = Instant::now();
-        let mut coord = self.coord.lock().expect("coordinator");
-        let mut by_handle: HashMap<TxHandle, Vec<NodeId>> = HashMap::new();
-        for shard in &self.shards {
-            let mut sh = shard.lock().expect("shard");
-            for (h, rx) in sh.reports.drain(..) {
-                by_handle.entry(h).or_default().push(rx);
-            }
-        }
-        let staged = std::mem::take(&mut *self.staged.write().expect("staged"));
-        for (k, tx) in staged.resolvable.iter().enumerate() {
-            let mut rx_ids = by_handle.remove(&tx.handle).unwrap_or_default();
-            rx_ids.sort_by_key(|n| n.index());
-            let meta = coord.meta.remove(&tx.handle);
-            self.emit_frame_ops(
-                &mut coord.log_ops,
-                tx,
-                &rx_ids,
-                meta,
-                SEQ_RESOLUTION + k as u64,
-            );
-        }
-        coord.serial_wall += t0.elapsed();
-    }
-
-    /// The per-frame instrumentation the per-event loop did in
-    /// `on_tx_done`, emitted as canonical log ops at `(end, tx lane)`.
-    /// The destination vector is the coordinator's op log in flat mode
-    /// and the owning cluster's in nested mode.
-    fn emit_frame_ops(
-        &self,
-        ops: &mut Vec<LogOp>,
-        tx: &ResolvableTx<WireFrame>,
-        rx_ids: &[NodeId],
-        meta: Option<FrameMeta>,
-        seq: u64,
-    ) {
-        let lane = tx.frame.src.label();
-        let at = tx.end;
-        // The frame stays packed: the fixed-offset views read the handful
-        // of header fields instrumentation needs without decoding the
-        // payload (beacons and other vehicles' data fall through).
-        if let Some(d) = DataView::of(&tx.frame.payload) {
-            if self.flow_vehicle(d.flow_src(), d.flow_dst()) != self.v0 {
-                return;
-            }
-            let dir = self.dir_of_src(d.flow_src());
-            ops.push(LogOp {
-                at,
-                lane,
-                seq,
-                op: LogOpKind::WirelessTx { dir },
-            });
-            let op = if let Some(relayer) = d.relayed_by() {
-                LogOpKind::Relay {
-                    id: d.id(),
-                    by: relayer,
-                    via_backplane: false,
-                    reached: rx_ids.contains(&d.flow_dst()),
-                }
-            } else {
-                let aux_set = meta.and_then(|m| m.aux_set).unwrap_or_default();
-                let aux_heard: Vec<NodeId> = rx_ids
-                    .iter()
-                    .copied()
-                    .filter(|n| aux_set.contains(n))
-                    .collect();
-                LogOpKind::SourceTx {
-                    id: d.id(),
-                    dir,
-                    dst_heard: rx_ids.contains(&d.flow_dst()),
-                    aux_set,
-                    aux_heard,
-                }
-            };
-            ops.push(LogOp { at, lane, seq, op });
-        } else if let Some(a) = AckView::of(&tx.frame.payload) {
-            let id = a.id();
-            let veh = if self.is_bs(id.origin) {
-                a.from()
-            } else {
-                id.origin
-            };
-            if veh == self.v0 {
-                ops.push(LogOp {
-                    at,
-                    lane,
-                    seq,
-                    op: LogOpKind::AckHeard {
-                        id,
-                        heard_by: rx_ids.to_vec(),
-                        dir: self.dir_of_src(id.origin),
-                    },
-                });
-            }
+            let (now, (lane, ev)) = sh.sched.step().expect("peeked event vanished");
+            self.dispatch(sh, lane, ev, now);
         }
     }
 
@@ -2159,18 +1862,12 @@ impl Engine {
         }
         assert!(!vehicles_out.is_empty(), "at least one workload vehicle");
 
-        // Replay the buffered log ops in canonical order. Nested runs
-        // also contribute each cluster's resolution ops and medium
-        // transmissions (cluster order; the sort below interleaves all
-        // streams by the partition-blind `(at, lane, seq)` key).
+        // Replay the buffered log ops in canonical order: the partition-
+        // blind `(at, lane, seq)` key interleaves every source, so the
+        // order ops were gathered in never matters. Lane ops logged after
+        // their cluster's last barrier are still in the shards.
         for sh in &mut shards {
             coord.log_ops.append(&mut sh.log_ops);
-        }
-        let mut cluster_frames = 0u64;
-        for m in self.cluster_rts {
-            let mut rt = m.into_inner().expect("cluster rt");
-            coord.log_ops.append(&mut rt.log_ops);
-            cluster_frames += rt.medium.tx_count;
         }
         coord.log_ops.sort_by_key(|o| (o.at, o.lane, o.seq));
         let mut log = RunLog::new();
@@ -2180,6 +1877,11 @@ impl Engine {
 
         let events: u64 = shards.iter().map(|s| s.sched.dispatched()).sum();
         let salvaged: u64 = shards.iter().map(|s| s.salvaged).sum();
+        let frames_tx: u64 = self
+            .clusters
+            .into_iter()
+            .map(|m| m.into_inner().expect("cluster rt").medium.tx_count)
+            .sum();
         let mut faults = coord.tally;
         for sh in &shards {
             faults.absorb(&sh.faults);
@@ -2199,7 +1901,7 @@ impl Engine {
             vehicles: vehicles_out,
             salvaged,
             events,
-            frames_tx: coord.medium.tx_count + cluster_frames,
+            frames_tx,
             faults,
             log,
         };
@@ -2207,13 +1909,108 @@ impl Engine {
     }
 }
 
-/// The first boundary of `cb` strictly after `t`, clamped to the horizon
-/// — what a cluster's medium drains resolvable frames against. Past the
-/// last boundary, `final_next` (horizon + 1 µs) lets frames ending
-/// exactly at the horizon resolve, matching the flat loop's tail.
-fn next_boundary(cb: &[SimTime], t: SimTime, horizon: SimTime, final_next: SimTime) -> SimTime {
-    let i = cb.partition_point(|&x| x <= t);
-    cb.get(i).map(|&n| n.min(horizon)).unwrap_or(final_next)
+/// Add the wall-clock since `clock` to `wall` and restart the clock: one
+/// thread's consecutive spans meet end to start, so every span is charged
+/// exactly once and nothing between them goes uncharged.
+fn lap(wall: &mut Duration, clock: &mut Instant) {
+    let now = Instant::now();
+    *wall += now - *clock;
+    *clock = now;
+}
+
+/// Pack clusters into supergroups for `workers` threads. Clusters that
+/// share a shard land in one supergroup (a shard's events run on exactly
+/// one worker); those groups go LPT by node count onto
+/// `min(workers, groups)` supergroups, with deterministic tie-breaks, and
+/// shards hosting no cluster are dealt round-robin. Each supergroup gets
+/// one worker, and spare workers go to the highest load per worker,
+/// never more workers than shards. Returns the supergroups and each
+/// cluster's supergroup.
+fn pack_supergroups(
+    cluster_shards: &[Vec<usize>],
+    cluster_sizes: &[usize],
+    n_shards: usize,
+    workers: usize,
+) -> (Vec<Supergroup>, Vec<usize>) {
+    let nc = cluster_shards.len();
+    let mut parent: Vec<usize> = (0..nc).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let mut first_on_shard: Vec<Option<usize>> = vec![None; n_shards];
+    for (c, hosts) in cluster_shards.iter().enumerate() {
+        for &s in hosts {
+            match first_on_shard[s] {
+                Some(d) => {
+                    let (a, b) = (find(&mut parent, c), find(&mut parent, d));
+                    if a != b {
+                        parent[a.max(b)] = a.min(b);
+                    }
+                }
+                None => first_on_shard[s] = Some(c),
+            }
+        }
+    }
+    // Each group is named by its root, its smallest cluster.
+    let root: Vec<usize> = (0..nc).map(|c| find(&mut parent, c)).collect();
+    let mut group_w = vec![0usize; nc];
+    for c in 0..nc {
+        group_w[root[c]] += cluster_sizes[c];
+    }
+    let mut order: Vec<usize> = (0..nc).filter(|&c| root[c] == c).collect();
+    let nsg = workers.min(order.len());
+    order.sort_by_key(|&r| (std::cmp::Reverse(group_w[r]), r));
+    let mut sg_of_root = vec![0usize; nc];
+    let mut load = vec![0usize; nsg];
+    for r in order {
+        let k = (0..nsg)
+            .min_by_key(|&k| (load[k], k))
+            .expect(">=1 supergroup");
+        load[k] += group_w[r];
+        sg_of_root[r] = k;
+    }
+    let sg_of: Vec<usize> = root.iter().map(|&r| sg_of_root[r]).collect();
+    let mut shards: Vec<Vec<usize>> = vec![Vec::new(); nsg];
+    let mut spare = 0usize;
+    for (s, first) in first_on_shard.iter().enumerate() {
+        match first {
+            Some(c) => shards[sg_of[*c]].push(s),
+            None => {
+                shards[spare % nsg].push(s);
+                spare += 1;
+            }
+        }
+    }
+    // Spare workers one at a time to the most loaded supergroup per
+    // worker that still has a shard without one.
+    let mut counts = vec![1usize; nsg];
+    for _ in nsg..workers {
+        let open = (0..nsg).filter(|&k| counts[k] < shards[k].len());
+        let Some(k) = open.max_by(|&a, &b| {
+            (load[a] * counts[b])
+                .cmp(&(load[b] * counts[a]))
+                .then(b.cmp(&a))
+        }) else {
+            break;
+        };
+        counts[k] += 1;
+    }
+    let supergroups = shards
+        .into_iter()
+        .zip(counts)
+        .map(|(shards, workers)| Supergroup {
+            shards,
+            workers,
+            scratch: RwLock::new(BarrierScratch::default()),
+            cursor: AtomicUsize::new(0),
+            placed: Mutex::new(Vec::new()),
+        })
+        .collect();
+    (supergroups, sg_of)
 }
 
 /// Apply one canonical log op through the [`LogSink`] event surface —

@@ -14,11 +14,19 @@
 //! engine is the *same machine at every shard count*: `shards = 1` (the
 //! default, and [`Simulation::run`]) is one shard on the calling thread,
 //! and `shards >= 2` splits the same run across worker threads with
-//! bit-identical results. Epoch boundaries come from an
-//! [`vifi_sim::EpochSchedule`] whose lookahead is derived from
-//! [`Scenario::contact_windows`]-style activity analysis plus the beacon
-//! period: while the whole fleet is out of radio contact, shards run free
-//! on a stretched quantum.
+//! bit-identical results.
+//!
+//! Every run walks one [`vifi_sim::HierarchicalSchedule`]. A deployment
+//! is first decomposed into radio-disjoint contact clusters
+//! ([`Scenario::contact_clusters`], computed once per run and shared by
+//! the shard planner and the engine set-up); each cluster gets a fine
+//! schedule from its own contact activity
+//! ([`Scenario::cluster_active_seconds`]) plus the beacon period, so
+//! while a cluster is out of contact its shards run free on a stretched
+//! quantum. A trace-driven run is one cluster whose activity comes from
+//! the trace. Backplane and wired coupling routes at every boundary of a
+//! one-cluster fleet and at coarse rendezvous otherwise — a consequence
+//! of the decomposition, not an option.
 //!
 //! ## Fleet runs
 //!
@@ -36,9 +44,10 @@
 //!
 //! A single large fleet run can be sharded across cores with
 //! [`RunConfig::shards`] and [`Simulation::run_sharded`]. The epoch engine
-//! splits the *one* coupled run across shards — vehicles partitioned by
-//! contact load ([`Scenario::shard_partition_by_contact`]), basestations
-//! by contact-seconds ([`Scenario::bs_contact_seconds`]) — and the merged
+//! splits the *one* coupled run across shards — whole contact clusters
+//! first, then vehicles by contact load
+//! ([`Scenario::shard_partition_by_contact`]) and basestations by
+//! contact-seconds ([`Scenario::bs_contact_seconds`]) — and the merged
 //! [`RunOutcome`] is **bit-identical to the sequential `shards = 1` run**
 //! at every shard and worker count (`tests/shard_equivalence.rs` enforces
 //! it). `shards` is a pure execution knob: it changes how a run is
@@ -50,11 +59,11 @@ use vifi_core::VifiConfig;
 use vifi_faults::{ChannelOverrides, FaultPlan};
 use vifi_mac::{BackplaneParams, MacParams};
 use vifi_phy::{NodeId, NodeKind, PhysicalLinkModel};
-use vifi_sim::{EpochSchedule, HierarchicalSchedule, Rng, SimDuration};
+use vifi_sim::{HierarchicalSchedule, Rng, SimDuration};
 use vifi_testbeds::trace::TraceSimSetup;
 use vifi_testbeds::{BeaconTrace, Scenario};
 
-use crate::engine::{self, CoupledTiming, EnginePartition, EngineSetup};
+use crate::engine::{self, CoupledTiming, EngineSetup};
 use crate::fingerprint::{Fingerprint, Fingerprintable};
 use crate::logging::RunLog;
 use crate::workload::{WorkloadReport, WorkloadSpec};
@@ -118,19 +127,6 @@ pub struct RunConfig {
     /// Gilbert–Elliott parameters). `None`s (the default) keep the radio
     /// profile's own parameters.
     pub channel: ChannelOverrides,
-    /// Force the flat (single-level) epoch schedule even when the
-    /// scenario's contact graph decomposes into multiple clusters
-    /// ([`Scenario::contact_clusters`]). By default (`false`) a coupled
-    /// run on a multi-cluster scenario synchronizes hierarchically:
-    /// fine barriers stay within each cluster, the whole fleet
-    /// rendezvouses only at coarse boundaries where backplane coupling
-    /// resolves. Each mode is deterministic and bit-identical across
-    /// shard and worker counts, but the two are distinct models: nested
-    /// runs delay backplane and wired coupling to the next coarse
-    /// boundary (up to one coarse quantum), flat runs route it every
-    /// fine epoch. This knob exists for A/B measurement (`fleet_sweep`)
-    /// and as an escape hatch.
-    pub flat_epochs: bool,
 }
 
 impl Default for RunConfig {
@@ -148,7 +144,6 @@ impl Default for RunConfig {
             shard_mode: ShardMode::Coupled,
             faults: FaultPlan::default(),
             channel: ChannelOverrides::default(),
-            flat_epochs: false,
         }
     }
 }
@@ -302,137 +297,126 @@ impl Simulation {
         }
     }
 
-    /// Margin (seconds) the activity analysis dilates contact by: one
-    /// second of intra-second motion plus at least one beacon period of
-    /// staleness.
-    fn activity_margin_s(cfg: &RunConfig) -> u64 {
-        1 + cfg.vifi.beacon_period.as_secs().max(1)
-    }
-
-    /// Build the engine inputs for this simulation under `partition`.
-    fn engine_setup(&self, partition: EnginePartition, workers: usize) -> EngineSetup {
-        let cfg = self.cfg.clone();
-        let horizon_s = cfg.duration.as_secs() + 1;
-        let margin = Self::activity_margin_s(&cfg);
-        let channel = cfg.channel;
-        match &self.kind {
-            SimKind::Deployment { scenario } => {
-                let probe = scenario.build_link_model(&Rng::new(cfg.seed));
-                let active = scenario.active_seconds(&probe, horizon_s, margin);
-                let schedule = EpochSchedule::new(SYNC_QUANTUM, QUIET_QUANTUM, active);
-                // Multi-cluster scenarios synchronize hierarchically: a
-                // per-cluster fine schedule derived from the cluster's
-                // own contact activity, coarse rendezvous fleet-wide.
-                // The decomposition is a pure function of the scenario,
-                // so the sequential run takes the same nested path as
-                // every sharded run — bit-identity is by construction,
-                // not by accident.
-                let decomposition = scenario.contact_clusters(&probe);
-                let nested =
-                    !cfg.flat_epochs && decomposition.len() >= 2 && decomposition.len() <= 64;
-                let (hierarchy, clusters) = if nested {
-                    let actives = decomposition
-                        .iter()
-                        .map(|c| scenario.cluster_active_seconds(&probe, horizon_s, margin, c))
-                        .collect();
-                    (
-                        Some(HierarchicalSchedule::new(
-                            SYNC_QUANTUM,
-                            QUIET_QUANTUM,
-                            actives,
-                        )),
-                        decomposition,
-                    )
-                } else {
-                    (None, Vec::new())
-                };
-                let scenario = scenario.clone();
-                let seed = cfg.seed;
-                EngineSetup {
-                    vehicles: scenario.vehicle_ids(),
-                    bs_ids: scenario.bs_ids(),
-                    link_factory: Box::new(move || {
-                        let mut link = scenario.build_link_model(&Rng::new(seed));
-                        if let Some(g) = channel.gray {
-                            link = link.with_gray_params(g);
-                        }
-                        if let Some(ge) = channel.ge {
-                            link = link.with_ge_params(ge);
-                        }
-                        Box::new(link)
-                    }),
-                    schedule,
-                    hierarchy,
-                    clusters,
-                    partition,
-                    workers,
-                    cfg,
-                }
-            }
-            SimKind::Trace { trace } => {
-                // Activity from the trace itself: seconds where at least
-                // one BS was audible, dilated by the margin.
-                let mut active: Vec<(u64, u64)> = Vec::new();
-                for (sec, n) in trace.visible_per_second(0.0).iter().enumerate() {
-                    if *n == 0 {
-                        continue;
-                    }
-                    let lo = (sec as u64).saturating_sub(margin);
-                    let hi = sec as u64 + margin + 1;
-                    match active.last_mut() {
-                        Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
-                        _ => active.push((lo, hi)),
-                    }
-                }
-                let schedule = EpochSchedule::new(SYNC_QUANTUM, QUIET_QUANTUM, active);
-                let probe = TraceSimSetup::from_trace(trace, &Rng::new(cfg.seed));
-                let trace = trace.clone();
-                let seed = cfg.seed;
-                EngineSetup {
-                    vehicles: vec![probe.vehicle],
-                    bs_ids: probe.bs_ids.clone(),
-                    link_factory: Box::new(move || {
-                        let mut link = TraceSimSetup::from_trace(&trace, &Rng::new(seed)).link;
-                        if let Some(ge) = channel.ge {
-                            link = link.with_ge_params(ge);
-                        }
-                        Box::new(link)
-                    }),
-                    schedule,
-                    hierarchy: None,
-                    clusters: Vec::new(),
-                    partition,
-                    workers,
-                    cfg,
-                }
-            }
-        }
-    }
-
-    /// All radio nodes of this simulation (vehicles + basestations).
-    fn all_nodes(&self) -> Vec<NodeId> {
-        match &self.kind {
-            SimKind::Deployment { scenario } => {
-                let mut v = scenario.vehicle_ids();
-                v.extend(scenario.bs_ids());
-                v
-            }
-            SimKind::Trace { trace } => {
-                let probe = TraceSimSetup::from_trace(trace, &Rng::new(self.cfg.seed));
-                let mut v = vec![probe.vehicle];
-                v.extend(probe.bs_ids);
-                v
-            }
-        }
-    }
-
     /// Run to completion and produce the outcome: the epoch engine with a
     /// single shard on the calling thread — the sequential coupled run
     /// every sharded run is measured against.
     pub fn run(self) -> RunOutcome {
-        let partition = EnginePartition::single(self.all_nodes());
-        let setup = self.engine_setup(partition, 1);
+        let Simulation { cfg, kind } = self;
+        let setup = match &kind {
+            SimKind::Deployment { scenario } => {
+                let contacts = Contacts::of(scenario, cfg.seed);
+                let lanes = vec![contacts.clusters.concat()];
+                deployment_setup(scenario, cfg, contacts, lanes, 1)
+            }
+            SimKind::Trace { trace } => trace_setup(trace, cfg),
+        };
         engine::run(setup).0
+    }
+}
+
+/// Margin (seconds) the activity analysis dilates contact by: one second
+/// of intra-second motion plus at least one beacon period of staleness.
+fn activity_margin_s(cfg: &RunConfig) -> u64 {
+    1 + cfg.vifi.beacon_period.as_secs().max(1)
+}
+
+/// The channel analysis a deployment run's planner and engine set-up
+/// share, computed once per run: the probe link model and the
+/// contact-cluster decomposition swept from it.
+struct Contacts {
+    link: PhysicalLinkModel,
+    clusters: Vec<Vec<NodeId>>,
+}
+
+impl Contacts {
+    fn of(scenario: &Scenario, seed: u64) -> Self {
+        let link = scenario.build_link_model(&Rng::new(seed));
+        let clusters = scenario.contact_clusters(&link);
+        Contacts { link, clusters }
+    }
+}
+
+/// Engine inputs of a deployment run on shards `lanes`: one fine
+/// schedule per contact cluster of `contacts`, each derived from that
+/// cluster's own contact activity. The decomposition is a pure function
+/// of the scenario, so the sequential run and every sharded run build
+/// the same hierarchy — bit-identity is by construction.
+fn deployment_setup(
+    scenario: &Scenario,
+    cfg: RunConfig,
+    contacts: Contacts,
+    lanes: Vec<Vec<NodeId>>,
+    workers: usize,
+) -> EngineSetup {
+    let horizon_s = cfg.duration.as_secs() + 1;
+    let margin = activity_margin_s(&cfg);
+    let actives = contacts
+        .clusters
+        .iter()
+        .map(|c| scenario.cluster_active_seconds(&contacts.link, horizon_s, margin, c))
+        .collect();
+    let channel = cfg.channel;
+    let seed = cfg.seed;
+    let owned = scenario.clone();
+    EngineSetup {
+        vehicles: scenario.vehicle_ids(),
+        bs_ids: scenario.bs_ids(),
+        link_factory: Box::new(move || {
+            let mut link = owned.build_link_model(&Rng::new(seed));
+            if let Some(g) = channel.gray {
+                link = link.with_gray_params(g);
+            }
+            if let Some(ge) = channel.ge {
+                link = link.with_ge_params(ge);
+            }
+            Box::new(link)
+        }),
+        hierarchy: HierarchicalSchedule::new(SYNC_QUANTUM, QUIET_QUANTUM, actives),
+        clusters: contacts.clusters,
+        lanes,
+        workers,
+        cfg,
+    }
+}
+
+/// Engine inputs of a trace-driven run: one shard and one cluster holding
+/// every node, active in the seconds where at least one BS was audible in
+/// the trace, dilated by the activity margin.
+fn trace_setup(trace: &BeaconTrace, cfg: RunConfig) -> EngineSetup {
+    let margin = activity_margin_s(&cfg);
+    let mut active: Vec<(u64, u64)> = Vec::new();
+    for (sec, n) in trace.visible_per_second(0.0).iter().enumerate() {
+        if *n == 0 {
+            continue;
+        }
+        let lo = (sec as u64).saturating_sub(margin);
+        let hi = sec as u64 + margin + 1;
+        match active.last_mut() {
+            Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
+            _ => active.push((lo, hi)),
+        }
+    }
+    let probe = TraceSimSetup::from_trace(trace, &Rng::new(cfg.seed));
+    let mut nodes = vec![probe.vehicle];
+    nodes.extend(probe.bs_ids.iter().copied());
+    let channel = cfg.channel;
+    let seed = cfg.seed;
+    let trace = trace.clone();
+    EngineSetup {
+        vehicles: vec![probe.vehicle],
+        bs_ids: probe.bs_ids,
+        link_factory: Box::new(move || {
+            let mut link = TraceSimSetup::from_trace(&trace, &Rng::new(seed)).link;
+            if let Some(ge) = channel.ge {
+                link = link.with_ge_params(ge);
+            }
+            Box::new(link)
+        }),
+        hierarchy: HierarchicalSchedule::new(SYNC_QUANTUM, QUIET_QUANTUM, vec![active]),
+        lanes: vec![nodes.clone()],
+        clusters: vec![nodes],
+        workers: 1,
+        cfg,
     }
 }
 
@@ -483,29 +467,29 @@ fn resolve_shards(shards: usize) -> usize {
 /// function of its inputs; and since the engine's outcome is invariant to
 /// the partition, the assignment is purely a load-balancing choice.
 ///
-/// On a multi-cluster scenario ([`Scenario::contact_clusters`], unless
-/// [`RunConfig::flat_epochs`]) placement is cluster-first so the nested
-/// barrier hierarchy pays off: whole clusters are placed onto shards
-/// before load is LPT-balanced within them. With at least one shard per
-/// cluster each cluster gets a contiguous, exclusive shard range (shard
-/// counts proportional to cluster contact load, everyone at least one)
-/// and its vehicles/basestations are balanced across that range alone;
-/// with fewer shards than clusters, whole clusters go LPT onto shards so
-/// no cluster straddles a shard boundary needlessly.
+/// On a multi-cluster scenario ([`Scenario::contact_clusters`])
+/// placement is cluster-first so the barrier hierarchy pays off: whole
+/// clusters are placed onto shards before load is LPT-balanced within
+/// them. With at least one shard per cluster each cluster gets a
+/// contiguous, exclusive shard range (shard counts proportional to
+/// cluster contact load, everyone at least one) and its
+/// vehicles/basestations are balanced across that range alone; with
+/// fewer shards than clusters, whole clusters go LPT onto shards so no
+/// cluster straddles a shard boundary needlessly.
 pub fn plan_shards(scenario: &Scenario, cfg: &RunConfig) -> ShardPlan {
-    let shards = resolve_shards(cfg.shards).max(1);
-    let link = scenario.build_link_model(&Rng::new(cfg.seed));
-    let clusters = if cfg.flat_epochs {
-        Vec::new()
-    } else {
-        scenario.contact_clusters(&link)
-    };
-    if clusters.len() >= 2 {
-        return plan_coupled_clustered(scenario, &link, &clusters, shards);
+    plan(scenario, &Contacts::of(scenario, cfg.seed), cfg.shards)
+}
+
+/// [`plan_shards`] over an already computed channel analysis.
+fn plan(scenario: &Scenario, contacts: &Contacts, shards: usize) -> ShardPlan {
+    let shards = resolve_shards(shards).max(1);
+    let link = &contacts.link;
+    if contacts.clusters.len() >= 2 {
+        return plan_coupled_clustered(scenario, link, &contacts.clusters, shards);
     }
-    let vgroups = scenario.shard_partition_by_contact(shards, &link, 0.1);
+    let vgroups = scenario.shard_partition_by_contact(shards, link, 0.1);
     // Basestations: longest-processing-time by contact seconds.
-    let mut weights = scenario.bs_contact_seconds(&link, 0.1);
+    let mut weights = scenario.bs_contact_seconds(link, 0.1);
     weights.sort_by_key(|&(bs, w)| (std::cmp::Reverse(w), bs));
     let mut bs_groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
     let mut loads = vec![0u64; shards];
@@ -541,8 +525,8 @@ fn plan_coupled_clustered(
     clusters: &[Vec<NodeId>],
     shards: usize,
 ) -> ShardPlan {
-    // Per-node contact weights — the same load proxies the flat planner
-    // uses (vehicle contact seconds, BS contact seconds).
+    // Per-node contact weights — the same load proxies the one-cluster
+    // planner uses (vehicle contact seconds, BS contact seconds).
     let bs_w: HashMap<NodeId, u64> = scenario.bs_contact_seconds(link, 0.1).into_iter().collect();
     let nc = clusters.len();
     let mut members: Vec<(Vec<(u64, NodeId)>, Vec<(u64, NodeId)>)> = Vec::with_capacity(nc);
@@ -611,7 +595,7 @@ fn plan_coupled_clustered(
         debug_assert_eq!(start, shards);
     }
     // Within each cluster: vehicles LPT across the cluster's shards, BSes
-    // LPT independently (mirroring the flat planner's separate ledgers).
+    // LPT independently (mirroring the one-cluster planner's ledgers).
     let mut vehicles_of: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
     let mut bs_of: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
     for (c, (mut vs, mut bs)) in members.into_iter().enumerate() {
@@ -672,29 +656,27 @@ impl Simulation {
         cfg: RunConfig,
         workers: Option<usize>,
     ) -> (RunOutcome, CoupledTiming) {
-        let plan = plan_shards(scenario, &cfg);
-        let partition = EnginePartition {
-            lanes: plan
-                .assignments
-                .iter()
-                .map(|a| {
-                    let mut lane = a.vehicles.clone();
-                    lane.extend(a.basestations.iter().copied());
-                    lane
-                })
-                .collect(),
-        };
+        scenario.validate();
+        let contacts = Contacts::of(scenario, cfg.seed);
+        let plan = plan(scenario, &contacts, cfg.shards);
+        let lanes: Vec<Vec<NodeId>> = plan
+            .assignments
+            .iter()
+            .map(|a| {
+                let mut lane = a.vehicles.clone();
+                lane.extend(a.basestations.iter().copied());
+                lane
+            })
+            .collect();
         let workers = workers.unwrap_or_else(|| {
-            partition.lanes.len().min(
+            lanes.len().min(
                 std::thread::available_parallelism()
                     .map(|p| p.get())
                     .unwrap_or(1)
                     .max(2),
             )
         });
-        let sim = Simulation::deployment(scenario, cfg);
-        let setup = sim.engine_setup(partition, workers);
-        engine::run(setup)
+        engine::run(deployment_setup(scenario, cfg, contacts, lanes, workers))
     }
 }
 
@@ -1151,6 +1133,87 @@ mod tests {
         assert_eq!(run(2), sequential, "parallel == sequential run");
         assert_eq!(run(3), sequential);
         assert_eq!(run(8), sequential, "more shards than vehicles");
+    }
+
+    #[test]
+    fn multi_cluster_routing_differs_from_one_collapsed_cluster() {
+        // Non-vacuity for the derived routing cadence: metro(2, 4) has two
+        // contact clusters, so backplane and wired coupling route only at
+        // coarse rendezvous. Collapsed into one cluster through the same
+        // set-up input, the run routes at every fine boundary instead.
+        // With live workloads the two models must not coincide bit for
+        // bit; each is deterministic and shard-invariant on its own.
+        let s = vifi_testbeds::metro(2, 4, 71);
+        let cfg = RunConfig {
+            fleet_workloads: vec![WorkloadSpec::paper_cbr()],
+            ..quick_cfg(WorkloadSpec::Idle, 8, 71)
+        };
+        let run = |collapse: bool| {
+            let mut contacts = Contacts::of(&s, cfg.seed);
+            assert_eq!(contacts.clusters.len(), 2, "one cluster per district");
+            let lanes = vec![contacts.clusters.concat()];
+            if collapse {
+                contacts.clusters = lanes.clone();
+            }
+            let setup = deployment_setup(&s, cfg.clone(), contacts, lanes, 1);
+            engine::run(setup).0.fingerprint()
+        };
+        assert_ne!(
+            run(false),
+            run(true),
+            "the coarse rendezvous must be observable"
+        );
+    }
+
+    /// `districts` radio-disjoint districts 10 km apart, each one
+    /// basestation with one vehicle parked 50 m from it, on a 1 s lap.
+    fn parked_districts(districts: u32) -> Scenario {
+        use vifi_phy::link::MobilitySource;
+        use vifi_phy::{Point, RadioParams};
+        use vifi_testbeds::NodeSpec;
+        let mut nodes = Vec::new();
+        for d in 0..districts {
+            let x = f64::from(d) * 10_000.0;
+            for (kind, dx, name) in [
+                (NodeKind::Basestation, 0.0, "BS"),
+                (NodeKind::Vehicle, 50.0, "van"),
+            ] {
+                nodes.push(NodeSpec {
+                    id: NodeId(nodes.len() as u32),
+                    kind,
+                    mobility: MobilitySource::Fixed(Point::new(x + dx, 0.0)),
+                    name: format!("{name}-{d}"),
+                });
+            }
+        }
+        Scenario {
+            name: "parked districts".into(),
+            nodes,
+            radio: RadioParams::default(),
+            lap: SimDuration::from_secs(1),
+            visits_per_day: 1,
+        }
+    }
+
+    #[test]
+    fn sixty_five_clusters_keep_their_hierarchy_at_every_shard_count() {
+        // More clusters than a 64-bit mask holds: the run still walks a
+        // 65-cluster hierarchy (no silent fallback to one fleet-wide
+        // cluster), and sharding stays an execution knob.
+        let s = parked_districts(65);
+        let cfg = RunConfig {
+            fleet_workloads: vec![WorkloadSpec::paper_cbr()],
+            ..quick_cfg(WorkloadSpec::Idle, 2, 3)
+        };
+        let contacts = Contacts::of(&s, cfg.seed);
+        assert_eq!(contacts.clusters.len(), 65);
+        let lanes = vec![contacts.clusters.concat()];
+        let setup = deployment_setup(&s, cfg.clone(), contacts, lanes, 1);
+        assert_eq!(setup.hierarchy.clusters(), 65);
+        let sequential = Simulation::deployment(&s, cfg.clone()).run();
+        assert!(sequential.frames_tx > 0, "the districts must transmit");
+        let sharded = Simulation::run_sharded(&s, RunConfig { shards: 4, ..cfg });
+        assert_eq!(sharded.fingerprint(), sequential.fingerprint());
     }
 
     #[test]

@@ -5,18 +5,20 @@
 //! queue up to the next epoch boundary, then all shards meet at a barrier
 //! where the shared services (medium, backplane, wired hand-offs) resolve
 //! the epoch's cross-shard interactions in one canonically-sorted batch.
-//! Two pieces live here because they are protocol-agnostic:
+//! These pieces live here because they are protocol-agnostic:
 //!
 //! * [`EpochSchedule`] — the deterministic sequence of epoch boundaries.
 //!   The lower bound on how soon one shard's actions can affect another is
 //!   the *sync quantum*; the schedule stretches it during windows in which
-//!   the whole fleet is out of contact (derived by the runtime from
-//!   `Scenario::contact_windows` plus beacon periodicity — vehicles out of
+//!   a contact cluster is out of contact (derived by the runtime from the
+//!   scenario's contact analysis plus beacon periodicity — vehicles out of
 //!   mutual radio range cannot interact, so shards run free there).
-//! * [`EpochBarrier`] — a reusable rendezvous for the worker threads of a
-//!   parallel coupled run. Between waits, worker 0 acts as the
-//!   coordinator and performs the serial barrier work; the barrier itself
-//!   never touches simulation state, so it cannot perturb determinism.
+//! * [`HierarchicalSchedule`] — one such schedule per radio-disjoint
+//!   cluster on a shared coarse grid, walked lazily by [`BoundaryWalk`].
+//! * [`EpochBarrier`] and [`NestedEpochBarrier`] — reusable rendezvous
+//!   for the worker threads of a parallel coupled run. The last worker to
+//!   arrive performs the serial barrier work; the barrier itself never
+//!   touches simulation state, so it cannot perturb determinism.
 //!
 //! Determinism contract: the schedule is a pure function of its inputs
 //! (never of the shard partition or worker count), and the barrier is
@@ -164,7 +166,6 @@ impl EpochSchedule {
 /// cluster's schedule — fine epochs nest exactly inside coarse ones.
 #[derive(Clone, Debug)]
 pub struct HierarchicalSchedule {
-    fine: SimDuration,
     coarse: SimDuration,
     clusters: Vec<EpochSchedule>,
 }
@@ -193,21 +194,12 @@ impl HierarchicalSchedule {
             .into_iter()
             .map(|active| EpochSchedule::new(fine, coarse, active))
             .collect();
-        HierarchicalSchedule {
-            fine,
-            coarse,
-            clusters,
-        }
+        HierarchicalSchedule { coarse, clusters }
     }
 
     /// Number of clusters.
     pub fn clusters(&self) -> usize {
         self.clusters.len()
-    }
-
-    /// The sync quantum shared by every cluster.
-    pub fn quantum(&self) -> SimDuration {
-        self.fine
     }
 
     /// Cluster `c`'s own boundary sequence over `(0, horizon]` — the
@@ -234,66 +226,84 @@ impl HierarchicalSchedule {
         out
     }
 
-    /// The union boundary sequence over `(0, horizon]` with, per
-    /// boundary, the bitmask of clusters that stop there (bit `c` for
-    /// cluster `c`; at most 64 clusters) and whether the boundary is on
-    /// the fleet-level coarse grid.
-    pub fn boundaries(&self, horizon: SimTime) -> Vec<(SimTime, u64, bool)> {
-        assert!(self.clusters.len() <= 64, "cluster mask is 64 bits wide");
-        use std::collections::BTreeMap;
-        let mut union: BTreeMap<SimTime, u64> = BTreeMap::new();
-        for (c, sched) in self.clusters.iter().enumerate() {
-            for b in sched.boundaries(horizon) {
-                *union.entry(b).or_insert(0) |= 1 << c;
+    /// Walk the union of every cluster's boundary sequence over
+    /// `(0, horizon]` lazily, one stop at a time — the engine's barrier
+    /// sequence. Nothing is materialized, so the walk costs the same for
+    /// any cluster count and any horizon.
+    pub fn walk(&self, horizon: SimTime) -> BoundaryWalk<'_> {
+        let first = |s: &EpochSchedule| {
+            let b = s.boundary_after(SimTime::ZERO);
+            (horizon > SimTime::ZERO && b > SimTime::ZERO).then_some(b)
+        };
+        BoundaryWalk {
+            schedule: self,
+            horizon,
+            next: self.clusters.iter().map(first).collect(),
+            due: Vec::new(),
+            rendezvous: false,
+        }
+    }
+}
+
+/// A lazy walk over a [`HierarchicalSchedule`]: each stop is the
+/// earliest next boundary of any cluster, and the clusters *due* there
+/// are those whose own sequence stops at that instant. Cluster `c`'s
+/// stops are exactly [`HierarchicalSchedule::cluster_boundaries`]`(c,
+/// horizon)`; the walk ends once every cluster has passed the horizon.
+///
+/// A stop is a **rendezvous** — the whole fleet synchronizes and
+/// cross-cluster (backplane) effects may flow — on the coarse grid, at
+/// the final stop, and at every stop of a one-cluster schedule (the
+/// whole fleet stops at each of its boundaries). The cadence is therefore
+/// a function of the decomposition, never a knob.
+#[derive(Clone, Debug)]
+pub struct BoundaryWalk<'a> {
+    schedule: &'a HierarchicalSchedule,
+    horizon: SimTime,
+    /// Each cluster's next boundary; `None` once its sequence has ended.
+    next: Vec<Option<SimTime>>,
+    /// Clusters due at the current stop, ascending.
+    due: Vec<usize>,
+    rendezvous: bool,
+}
+
+impl BoundaryWalk<'_> {
+    /// Step to the next stop and return its instant, or `None` when every
+    /// cluster's sequence is over. Costs `O(clusters)` per stop.
+    pub fn advance(&mut self) -> Option<SimTime> {
+        let at = self.next.iter().flatten().copied().min()?;
+        self.due.clear();
+        for (c, next) in self.next.iter_mut().enumerate() {
+            if *next == Some(at) {
+                self.due.push(c);
+                // Same termination as `EpochSchedule::boundaries`: stop
+                // after the first boundary at or past the horizon, or
+                // where the grid saturates at the end of time.
+                let after = self.schedule.clusters[c].boundary_after(at);
+                *next = (at < self.horizon && after > at).then_some(after);
             }
         }
-        let coarse = self.coarse.as_micros();
-        union
-            .into_iter()
-            .map(|(t, mask)| (t, mask, t.as_micros() % coarse == 0))
-            .collect()
+        let last = self.next.iter().all(Option::is_none);
+        self.rendezvous = last
+            || self.schedule.clusters.len() == 1
+            || at.as_micros() % self.schedule.coarse.as_micros() == 0;
+        Some(at)
     }
 
-    /// The flat single-level schedule the hierarchy replaces: fine quanta
-    /// over the *union* of every cluster's active ranges, so all shards
-    /// pay every cluster's barrier frequency. Comparison / fallback API.
-    pub fn flat(&self) -> EpochSchedule {
-        let mut edges: Vec<(u64, i64)> = Vec::new();
-        for sched in &self.clusters {
-            for &(a, b) in &sched.active {
-                edges.push((a, 1));
-                edges.push((b, -1));
-            }
-        }
-        edges.sort_unstable();
-        let mut active = Vec::new();
-        let mut depth = 0i64;
-        let mut start = 0u64;
-        for (sec, delta) in edges {
-            if depth == 0 && delta > 0 {
-                start = sec;
-            }
-            depth += delta;
-            if depth == 0 && delta < 0 {
-                match active.last_mut() {
-                    // Merge ranges that touch: [a,b) + [b,c) = [a,c).
-                    Some(&mut (_, ref mut end)) if *end == start => *end = sec,
-                    _ => active.push((start, sec)),
-                }
-            }
-        }
-        EpochSchedule::new(self.fine, self.coarse, active)
+    /// The clusters due at the current stop, ascending.
+    pub fn due(&self) -> &[usize] {
+        &self.due
     }
 
-    /// Total barrier *crossings* over `(0, horizon]`: each cluster pays
-    /// one crossing per boundary of its own schedule. The flat equivalent
-    /// pays `clusters() * flat().boundaries(horizon).len()` — the
-    /// quantity the hierarchy strictly reduces whenever clusters have
-    /// disjoint activity.
-    pub fn total_crossings(&self, horizon: SimTime) -> usize {
-        (0..self.clusters.len())
-            .map(|c| self.cluster_boundaries(c, horizon).len())
-            .sum()
+    /// Whether the current stop is a fleet-wide rendezvous.
+    pub fn rendezvous(&self) -> bool {
+        self.rendezvous
+    }
+
+    /// Cluster `c`'s next boundary after the current stop, or `None` when
+    /// its sequence is over.
+    pub fn next_boundary(&self, c: usize) -> Option<SimTime> {
+        self.next[c]
     }
 }
 
@@ -388,11 +398,6 @@ impl NestedEpochBarrier {
     /// Total participants across all clusters.
     pub fn participants(&self) -> usize {
         self.global.participants()
-    }
-
-    /// Participants in cluster `c`.
-    pub fn cluster_participants(&self, c: usize) -> usize {
-        self.clusters[c].participants()
     }
 
     /// Number of clusters.
@@ -680,24 +685,119 @@ mod tests {
                 );
             }
         }
-        // The union view agrees: a coarse-grid entry carries every
-        // cluster in its mask; fine-only entries belong to one cluster.
-        for (t, mask, is_coarse) in h.boundaries(horizon) {
-            if is_coarse {
-                assert_eq!(mask, 0b11, "all clusters stop at {t:?}");
+        // The walk agrees: a coarse-grid stop has every cluster due;
+        // fine-only stops belong to one cluster.
+        let mut walk = h.walk(horizon);
+        while let Some(t) = walk.advance() {
+            if t.as_micros() % 500_000 == 0 {
+                assert_eq!(walk.due(), &[0, 1], "all clusters stop at {t:?}");
+                assert!(walk.rendezvous(), "coarse stop {t:?} is a rendezvous");
             } else {
-                assert_eq!(mask.count_ones(), 1, "fine boundary {t:?} is private");
+                assert_eq!(walk.due().len(), 1, "fine boundary {t:?} is private");
             }
         }
+    }
+
+    /// Collect a walk's stops: `(instant, due clusters, rendezvous)`.
+    fn walk_stops(h: &HierarchicalSchedule, horizon: SimTime) -> Vec<(SimTime, Vec<usize>, bool)> {
+        let mut walk = h.walk(horizon);
+        let mut stops = Vec::new();
+        while let Some(t) = walk.advance() {
+            stops.push((t, walk.due().to_vec(), walk.rendezvous()));
+        }
+        stops
+    }
+
+    #[test]
+    fn walk_has_no_cluster_cap() {
+        // Seventy clusters, each fine-active in its own second of a
+        // seven-second cycle: the walk reproduces every cluster's own
+        // boundary sequence, however many clusters there are.
+        let active = (0..70u64).map(|c| vec![(c % 7, c % 7 + 1)]).collect();
+        let h = HierarchicalSchedule::new(
+            SimDuration::from_millis(10),
+            SimDuration::from_millis(500),
+            active,
+        );
+        let horizon = SimTime::from_secs(7);
+        let stops = walk_stops(&h, horizon);
+        assert!(
+            stops.windows(2).all(|w| w[0].0 < w[1].0),
+            "strictly increasing"
+        );
+        for c in 0..h.clusters() {
+            let mine: Vec<SimTime> = stops
+                .iter()
+                .filter(|(_, due, _)| due.contains(&c))
+                .map(|(t, _, _)| *t)
+                .collect();
+            assert_eq!(mine, h.cluster_boundaries(c, horizon), "cluster {c}");
+        }
+        for (t, due, rendezvous) in &stops {
+            let coarse = t.as_micros() % 500_000 == 0;
+            assert_eq!(
+                *rendezvous, coarse,
+                "rendezvous only on the coarse grid at {t:?}"
+            );
+            if coarse {
+                assert_eq!(due.len(), 70, "every cluster stops at {t:?}");
+            } else {
+                assert_eq!(due.len(), 10, "one cycle second's clusters at {t:?}");
+            }
+        }
+        assert_eq!(stops.last().map(|s| s.0), Some(horizon));
+    }
+
+    #[test]
+    fn walk_rendezvous_cadence_follows_the_decomposition() {
+        // One cluster: the whole fleet stops at every boundary, so every
+        // stop is a rendezvous, and the walk is the cluster's schedule.
+        let one = HierarchicalSchedule::new(
+            SimDuration::from_millis(10),
+            SimDuration::from_millis(500),
+            vec![vec![(0, 1)]],
+        );
+        let horizon = SimTime::from_secs(2);
+        let stops = walk_stops(&one, horizon);
+        assert!(stops.iter().all(|(_, due, r)| due == &[0] && *r));
+        let times: Vec<SimTime> = stops.iter().map(|s| s.0).collect();
+        assert_eq!(times, one.cluster_boundaries(0, horizon));
+        // Several clusters whose last boundaries differ: the final stop
+        // is a rendezvous even off the coarse grid, and each cluster
+        // still ends on its own first boundary at or past the horizon.
+        let h = two_cluster();
+        let horizon = ms(1_985);
+        let stops = walk_stops(&h, horizon);
+        let (t, due, rendezvous) = stops.last().expect("stops");
+        assert_eq!(*t, SimTime::from_secs(2));
+        assert_eq!(due, &[1], "cluster 0 ended at its own fine boundary");
+        assert!(*rendezvous);
+        assert!(stops
+            .iter()
+            .any(|(t, due, r)| *t == ms(1_990) && due == &[0] && !r));
+        // A zero horizon has no stops at all.
+        assert!(walk_stops(&h, SimTime::ZERO).is_empty());
     }
 
     #[test]
     fn hierarchy_strictly_cuts_barrier_crossings_for_disjoint_clusters() {
         let h = two_cluster();
         let horizon = SimTime::from_secs(6);
-        let flat = h.flat();
-        let flat_crossings = h.clusters() * flat.boundaries(horizon).len();
-        let nested_crossings = h.total_crossings(horizon);
+        // The same activity as one fleet-wide cluster: every cluster pays
+        // the union of both fine windows.
+        let flat = HierarchicalSchedule::new(
+            SimDuration::from_millis(10),
+            SimDuration::from_millis(500),
+            vec![vec![(0, 2), (4, 6)]],
+        );
+        let crossings = |h: &HierarchicalSchedule| -> usize {
+            walk_stops(h, horizon)
+                .iter()
+                .map(|(_, due, _)| due.len())
+                .sum()
+        };
+        let flat_crossings = h.clusters() * crossings(&flat);
+        let nested_crossings = crossings(&h);
         assert!(
             nested_crossings < flat_crossings,
             "hierarchy must beat the flat schedule: {nested_crossings} vs {flat_crossings}"
@@ -705,7 +805,7 @@ mod tests {
         // The flat schedule pays both clusters' fine windows everywhere;
         // each cluster alone pays only its own (plus the coarse grid).
         let fine_per_active_window = 200; // 2 s of 10 ms quanta
-        assert!(flat.boundaries(horizon).len() >= 2 * fine_per_active_window);
+        assert!(flat.cluster_boundaries(0, horizon).len() >= 2 * fine_per_active_window);
         for c in 0..h.clusters() {
             assert!(h.cluster_boundaries(c, horizon).len() < 2 * fine_per_active_window);
         }

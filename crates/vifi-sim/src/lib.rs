@@ -35,7 +35,9 @@ pub mod rng;
 pub mod sched;
 pub mod time;
 
-pub use epoch::{EpochBarrier, EpochSchedule, HierarchicalSchedule, NestedEpochBarrier};
+pub use epoch::{
+    BoundaryWalk, EpochBarrier, EpochSchedule, HierarchicalSchedule, NestedEpochBarrier,
+};
 pub use event::{EventQueue, TimerToken};
 pub use rng::Rng;
 pub use sched::Scheduler;

@@ -355,12 +355,12 @@ const METRO_SECS: u64 = 8;
 
 #[test]
 fn metro_coupled_shards_2_4_8_16_are_bit_identical_to_sequential() {
-    // The tentpole guarantee: the nested-barrier engine (per-cluster fine
+    // The tentpole guarantee: the cluster pipeline (per-cluster fine
     // schedules, coarse fleet-wide rendezvous) must not leak the shard
     // count, the cluster-to-shard placement, the supergroup structure, or
     // the worker count into the outcome. The hierarchy is a pure function
-    // of the scenario, so the sequential `shards = 1` run takes the same
-    // nested path — bit-identity is across executors of one model.
+    // of the scenario, so the sequential `shards = 1` run walks the same
+    // one — bit-identity is across executors of one model.
     for seed in METRO_SEEDS {
         let scenario = metro(4, 16, seed);
         let sequential = Simulation::deployment(&scenario, fleet_cfg(seed, 1, METRO_SECS)).run();
@@ -414,7 +414,7 @@ fn metro_faulted_coupled_runs_are_bit_identical_to_sequential() {
 
 #[test]
 fn metro_coupled_outcome_is_invariant_to_worker_count() {
-    // The serial nested executor and real worker threads behind the
+    // The serial executor and real worker threads behind the
     // NestedEpochBarrier (supergroups with their own worker slices) must
     // agree bit for bit — including when workers < clusters and when
     // workers > shards.
@@ -430,40 +430,6 @@ fn metro_coupled_outcome_is_invariant_to_worker_count() {
             "metro worker invariance at {shards} shards"
         );
     }
-}
-
-#[test]
-fn metro_nested_mode_really_differs_from_flat_epochs() {
-    // Non-vacuity for the hierarchy: nested runs delay backplane and
-    // wired coupling to the coarse rendezvous, so on a fleet with live
-    // workloads the two models must not coincide bit for bit (if they
-    // did, the nested path would be flat with extra steps). Both are
-    // individually deterministic and shard-invariant — that is what the
-    // legs above prove.
-    let scenario = metro(2, 4, 71);
-    let nested = Simulation::deployment(&scenario, fleet_cfg(71, 1, METRO_SECS))
-        .run()
-        .fingerprint();
-    let flat = Simulation::deployment(
-        &scenario,
-        RunConfig {
-            flat_epochs: true,
-            ..fleet_cfg(71, 1, METRO_SECS)
-        },
-    )
-    .run()
-    .fingerprint();
-    assert_ne!(nested, flat, "the coarse rendezvous must be observable");
-    // And the flat escape hatch is itself shard-invariant.
-    let flat_sharded = Simulation::run_sharded(
-        &scenario,
-        RunConfig {
-            flat_epochs: true,
-            ..fleet_cfg(71, 4, METRO_SECS)
-        },
-    )
-    .fingerprint();
-    assert_eq!(flat_sharded, flat, "flat metro runs shard-invariantly too");
 }
 
 proptest! {
