@@ -32,7 +32,9 @@ use vifi_metrics::{sessions_from_ratios, SessionDef, SlotSeries};
 use vifi_phy::gilbert::GeParams;
 use vifi_phy::pathloss::{ShadowField, ShadowSampler};
 use vifi_phy::{GilbertElliott, NodeId, Point};
-use vifi_runtime::{read_stream, RunConfig, RunLog, Simulation, StreamFold, WorkloadSpec};
+use vifi_runtime::{
+    read_stream, LogEvent, LogSink, RunConfig, RunLog, Simulation, StreamFold, WorkloadSpec,
+};
 use vifi_sim::{EventQueue, Rng, SimDuration, SimTime};
 use vifi_testbeds::{dieselnet_fleet, metro, vanlan};
 
@@ -119,28 +121,45 @@ fn bench_runlog_stream(h: &mut Harness) {
             origin: NodeId(0),
             seq: i / 2, // every id transmits twice
         };
-        log.on_source_tx(
+        let at = SimTime::from_millis(i);
+        let dir = if i % 3 == 0 {
+            Direction::Downstream
+        } else {
+            Direction::Upstream
+        };
+        let tx = LogEvent::SourceTx {
             id,
-            if i % 3 == 0 {
-                Direction::Downstream
-            } else {
-                Direction::Upstream
-            },
-            SimTime::from_millis(i),
-            aux.clone(),
-            aux[..(i % 5) as usize].to_vec(),
-            i % 4 == 0,
-        );
+            dir,
+            aux_set: aux.clone(),
+            aux_heard: aux[..(i % 5) as usize].to_vec(),
+            dst_heard: i % 4 == 0,
+        };
+        log.apply(at, tx);
         if i % 2 == 1 {
-            log.on_ack_heard(id, &aux[..2]);
-            log.on_decision(id, aux[0], 0.4, i % 8 == 1);
-            if i % 8 == 1 {
-                log.on_relay(id, aux[0], false, i % 16 == 1);
+            let heard_by = aux[..2].to_vec();
+            log.apply(at, LogEvent::AckAttach { id, heard_by });
+            let relayed = i % 8 == 1;
+            let decision = LogEvent::Decision {
+                id,
+                aux: aux[0],
+                prob: 0.4,
+                relayed,
+            };
+            log.apply(at, decision);
+            if relayed {
+                let relay = LogEvent::Relay {
+                    id,
+                    by: aux[0],
+                    via_backplane: false,
+                    reached: i % 16 == 1,
+                };
+                log.apply(at, relay);
             }
-            log.on_delivered(id);
+            log.apply(at, LogEvent::DeliverMark { id });
         }
         if i % 100 == 0 {
-            log.on_aux_sample(i / 100, aux.len());
+            let (sec, size) = (i / 100, aux.len());
+            log.apply(at, LogEvent::AuxSample { sec, size });
         }
     }
     h.bench("runlog_stream_10k", || {

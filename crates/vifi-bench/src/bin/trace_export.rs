@@ -14,22 +14,27 @@
 //! cargo run --release -p vifi-bench --bin trace_export -- \
 //!     export --input trace.bin --out capture.pcap
 //!
-//! # 3. Validate framing (pcap magic/version/link type + per-record
-//! #    structure, or the raw binary-trace framing).
+//! # 3. Validate framing (pcap magic/version/link type + every record
+//! #    decoded, or the raw binary trace replayed).
 //! cargo run --release -p vifi-bench --bin trace_export -- \
 //!     validate --input capture.pcap
 //! ```
 //!
 //! The binary trace format is defined in `vifi_runtime::binlog` (records
-//! are `u32 len | u8 kind | u64 at_micros | body`, little-endian). The
-//! pcap wrapper uses the classic libpcap global header (magic
-//! `0xa1b2c3d4`, version 2.4) with `LINKTYPE_USER0` (147), so standard
-//! capture tools accept the file and dissect nothing.
+//! are `u32 len | u8 kind | u64 at_micros | body`, little-endian), and
+//! every record this tool reads goes through its decoder. The pcap
+//! wrapper uses the classic libpcap global header (magic `0xa1b2c3d4`,
+//! version 2.4) with `LINKTYPE_USER0` (147), so standard capture tools
+//! accept the file and dissect nothing.
+//!
+//! Exit status: 0 on success, 1 on an I/O error or malformed input, 2 on
+//! a usage error (unknown subcommand, missing or unparsable flag value).
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 
+use vifi_runtime::binlog::{read_record, read_record_body};
 use vifi_runtime::{read_stream, Fingerprintable, RunConfig, RunLog, Simulation, WorkloadSpec};
 use vifi_sim::SimDuration;
 use vifi_testbeds::vanlan;
@@ -40,8 +45,6 @@ const PCAP_MAGIC: u32 = 0xa1b2_c3d4;
 /// `LINKTYPE_USER0`: reserved for private use — no dissector will
 /// misread ViFi trace records as a real link protocol.
 const LINKTYPE_USER0: u32 = 147;
-/// Trace record kinds run 0..=12 (see `vifi_runtime::binlog`).
-const MAX_RECORD_KIND: u8 = 12;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,16 +53,18 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args),
         Some("export") => cmd_export(&args),
         Some("validate") => cmd_validate(&args),
-        _ => {
+        _ => Err(usage_error("unknown subcommand".into())),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+            eprintln!("trace_export {}: {e}", cmd.unwrap_or(""));
             eprintln!("usage: trace_export <run|export|validate> [options]");
             eprintln!("  run      --vanlan N --secs S --seed K --out trace.bin");
             eprintln!("  export   --input trace.bin --out capture.pcap");
             eprintln!("  validate --input <trace.bin | capture.pcap>");
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("trace_export {}: {e}", cmd.unwrap_or(""));
             ExitCode::FAILURE
@@ -67,27 +72,47 @@ fn main() -> ExitCode {
     }
 }
 
-fn arg<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// A usage error: `main` prints the usage lines and exits 2.
+fn usage_error(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
-fn parsed<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    arg(args, key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The value after flag `key`, `None` when the flag is absent; a flag
+/// without a value is a usage error.
+fn arg<'a>(args: &'a [String], key: &str) -> io::Result<Option<&'a str>> {
+    match args.iter().position(|a| a == key) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(usage_error(format!("{key} needs a value"))),
+        },
+    }
+}
+
+/// The parsed value of flag `key`, `default` when the flag is absent; a
+/// missing or unparsable value is a usage error.
+fn parsed<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> io::Result<T> {
+    match arg(args, key)? {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| usage_error(format!("bad value for {key}: {v:?}"))),
+    }
+}
+
+/// The value of the required flag `key`.
+fn required<'a>(args: &'a [String], key: &str) -> io::Result<&'a str> {
+    arg(args, key)?.ok_or_else(|| usage_error(format!("{key} is required")))
 }
 
 /// `run`: drive a VanLAN deployment and stream its packet log to a
 /// binary trace, verifying the trace reconstructs the log bit-for-bit
 /// before reporting success.
-fn cmd_run(args: &[String]) -> std::io::Result<()> {
-    let vehicles: u32 = parsed(args, "--vanlan", 8);
-    let secs: u64 = parsed(args, "--secs", 15);
-    let seed: u64 = parsed(args, "--seed", 42);
-    let out = arg(args, "--out").unwrap_or("trace.bin");
+fn cmd_run(args: &[String]) -> io::Result<()> {
+    let vehicles: u32 = parsed(args, "--vanlan", 8)?;
+    let secs: u64 = parsed(args, "--secs", 15)?;
+    let seed: u64 = parsed(args, "--seed", 42)?;
+    let out = arg(args, "--out")?.unwrap_or("trace.bin");
 
     let scenario = vanlan(vehicles);
     let cfg = RunConfig {
@@ -107,8 +132,8 @@ fn cmd_run(args: &[String]) -> std::io::Result<()> {
     let want = outcome.log.fingerprint();
     let got = rebuilt.fingerprint();
     if got != want {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
             format!("trace round-trip fingerprint mismatch: {got:#018x} != {want:#018x}"),
         ));
     }
@@ -119,43 +144,11 @@ fn cmd_run(args: &[String]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Raw record iterator over the binary-trace framing: `(kind, at_micros,
-/// full record bytes after the length prefix)`.
-fn for_each_raw_record<R: Read>(
-    mut r: R,
-    mut f: impl FnMut(u8, u64, &[u8]) -> std::io::Result<()>,
-) -> std::io::Result<u64> {
-    let mut count = 0u64;
-    let mut buf = Vec::new();
-    loop {
-        let mut len_bytes = [0u8; 4];
-        match r.read_exact(&mut len_bytes) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(count),
-            Err(e) => return Err(e),
-        }
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len < 9 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("record {count}: too short ({len} bytes)"),
-            ));
-        }
-        buf.resize(len, 0);
-        r.read_exact(&mut buf)?;
-        let at = u64::from_le_bytes(buf[1..9].try_into().expect("9-byte header"));
-        f(buf[0], at, &buf)?;
-        count += 1;
-    }
-}
-
-/// `export`: wrap every trace record in a pcap packet record. The pcap
-/// timestamp is the record's simulation time.
-fn cmd_export(args: &[String]) -> std::io::Result<()> {
-    let input = arg(args, "--input").ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "--input is required")
-    })?;
-    let out = arg(args, "--out").unwrap_or("capture.pcap");
+/// `export`: wrap every trace record in a pcap packet record, decoding
+/// each on the way. The pcap timestamp is the record's simulation time.
+fn cmd_export(args: &[String]) -> io::Result<()> {
+    let input = required(args, "--input")?;
+    let out = arg(args, "--out")?.unwrap_or("capture.pcap");
 
     let mut w = BufWriter::new(File::create(out)?);
     // Global header: magic, v2.4, UTC, no sigfigs, generous snaplen,
@@ -168,27 +161,30 @@ fn cmd_export(args: &[String]) -> std::io::Result<()> {
     w.write_all(&65535u32.to_le_bytes())?;
     w.write_all(&LINKTYPE_USER0.to_le_bytes())?;
 
-    let records = for_each_raw_record(BufReader::new(File::open(input)?), |_kind, at, rec| {
+    let mut r = BufReader::new(File::open(input)?);
+    let mut rec = Vec::new();
+    let mut records = 0u64;
+    while let Some((at, _)) = read_record(&mut r, &mut rec)? {
+        let at = at.as_micros();
         let (sec, usec) = (at / 1_000_000, at % 1_000_000);
         w.write_all(&(sec as u32).to_le_bytes())?;
         w.write_all(&(usec as u32).to_le_bytes())?;
         w.write_all(&(rec.len() as u32).to_le_bytes())?;
         w.write_all(&(rec.len() as u32).to_le_bytes())?;
-        w.write_all(rec)
-    })?;
+        w.write_all(&rec)?;
+        records += 1;
+    }
     w.flush()?;
     println!("wrote {out}: {records} pcap records from {input}");
     Ok(())
 }
 
-/// `validate`: check a pcap capture's global header and record framing,
-/// or (for `.bin` traces) the raw binary framing. Exits non-zero on the
+/// `validate`: check a pcap capture's global header and decode every
+/// record it wraps, or replay a raw binary trace. Exits non-zero on the
 /// first malformed byte.
-fn cmd_validate(args: &[String]) -> std::io::Result<()> {
-    let input = arg(args, "--input").ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "--input is required")
-    })?;
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+fn cmd_validate(args: &[String]) -> io::Result<()> {
+    let input = required(args, "--input")?;
+    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
 
     let mut r = BufReader::new(File::open(input)?);
     let mut head = [0u8; 4];
@@ -207,12 +203,13 @@ fn cmd_validate(args: &[String]) -> std::io::Result<()> {
         }
         let mut count = 0u64;
         let mut data = Vec::new();
+        let mut rec = Vec::new();
         loop {
-            let mut rec = [0u8; 16];
-            match r.read_exact(&mut rec) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-                Err(e) => return Err(e),
+            rec.clear();
+            match r.by_ref().take(16).read_to_end(&mut rec)? {
+                0 => break,
+                16 => {}
+                n => return Err(bad(format!("record {count}: {n}-byte header, want 16"))),
             }
             let incl = u32::from_le_bytes(rec[8..12].try_into().expect("u32"));
             let orig = u32::from_le_bytes(rec[12..16].try_into().expect("u32"));
@@ -221,14 +218,8 @@ fn cmd_validate(args: &[String]) -> std::io::Result<()> {
                     "record {count}: truncated capture ({incl}/{orig})"
                 )));
             }
-            if incl < 9 {
-                return Err(bad(format!("record {count}: {incl} bytes, need >= 9")));
-            }
-            data.resize(incl as usize, 0);
-            r.read_exact(&mut data)?;
-            if data[0] > MAX_RECORD_KIND {
-                return Err(bad(format!("record {count}: unknown kind {}", data[0])));
-            }
+            read_record_body(&mut r, incl, &mut data)
+                .map_err(|e| io::Error::new(e.kind(), format!("record {count}: {e}")))?;
             count += 1;
         }
         if count == 0 {
@@ -250,4 +241,29 @@ fn cmd_validate(args: &[String]) -> std::io::Result<()> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn flags_parse_and_reject_bad_values() {
+        assert_eq!(parsed(&args("run --secs 8"), "--secs", 15u64).unwrap(), 8);
+        assert_eq!(parsed(&args("run"), "--secs", 15u64).unwrap(), 15);
+        for bad in ["run --secs abc", "run --secs", "run --secs -3"] {
+            let err = parsed(&args(bad), "--secs", 15u64).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
+        }
+        assert_eq!(
+            arg(&args("export --out x.pcap"), "--out").unwrap(),
+            Some("x.pcap")
+        );
+        let err = required(&args("validate"), "--input").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
 }

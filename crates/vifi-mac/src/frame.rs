@@ -40,13 +40,6 @@ pub struct MacParams {
     /// and above which an overlapping foreign transmission interferes at a
     /// receiver.
     pub sense_threshold: f64,
-    /// Close the carrier-sense approximation gap: re-sense at the deferred
-    /// start and keep deferring while any audible window covers it, instead
-    /// of sensing once at placement. Off by default (bit-identical to the
-    /// historical one-pass rule); it only changes outcomes when the medium
-    /// is busy enough that windows pile up within one placement batch —
-    /// see `medium`'s module docs and the regression test there.
-    pub resense_on_defer: bool,
 }
 
 impl Default for MacParams {
@@ -58,7 +51,6 @@ impl Default for MacParams {
             slot: SimDuration::from_micros(20),
             cw_slots: 32,
             sense_threshold: 0.05,
-            resense_on_defer: false,
         }
     }
 }

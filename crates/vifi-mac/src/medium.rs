@@ -40,11 +40,8 @@
 //! sender defers past everything it can hear *at placement time* but does
 //! not re-sense at the deferred instant, so a window placed later in the
 //! same batch (a sender it cannot hear, or one that arrived later) may
-//! overlap its deferred start. [`MacParams::resense_on_defer`] closes the
-//! gap: placement iterates re-sensing at the chosen start until it is
-//! clear of every audible window. Off by default — bit-identical to the
-//! one-pass rule; at the paper's offered loads the medium is idle ≫ 95%
-//! of the time and the two rules almost always agree.
+//! overlap its deferred start. At the paper's offered loads the medium is
+//! idle ≫ 95% of the time, so the gap almost never opens.
 
 use std::collections::HashMap;
 
@@ -470,7 +467,6 @@ impl<P: Clone> SharedMediumService<P> {
                     <= (w[1].t_req, w[1].frame.src.label())),
             "requests must arrive in canonical (t_req, src) order"
         );
-        let batch_lo = self.live.len();
         let mut placements = Vec::with_capacity(requests.len());
         // One window snapshot for the whole batch, extended as placements
         // land — the carrier-sense scan is the serial coordinator work
@@ -494,60 +490,7 @@ impl<P: Clone> SharedMediumService<P> {
             windows.push(kernel::TxWindow { src, start, end });
             placements.push(Placement { handle, start, end });
         }
-        if self.params.resense_on_defer {
-            self.resense_batch(batch_lo, at, link, &mut placements);
-        }
         placements
-    }
-
-    /// The `resense_on_defer` post-pass: one-pass placement lets a sender
-    /// that deferred behind an audible window start inside a window placed
-    /// *later* in the batch (a sender it could not see yet — the
-    /// documented carrier-sense gap). Re-sense every placed frame at its
-    /// chosen start, in batch order, and re-place any that would start
-    /// under an audible window; iterate to a fixpoint (each re-placement
-    /// only moves a start past someone's end, so the loop terminates).
-    /// The fixpoint search is bounded at 16 passes: a deeper re-placement
-    /// chain needs 16+ mutually-audibility-asymmetric senders colliding
-    /// inside one epoch, far past any physical pile-up; if the bound were
-    /// ever hit, the affected frames deterministically keep their last
-    /// (one-pass-quality) placement rather than looping.
-    fn resense_batch(
-        &mut self,
-        batch_lo: usize,
-        at: SimTime,
-        link: &dyn LinkModel,
-        placements: &mut [Placement],
-    ) {
-        for _pass in 0..16 {
-            let mut changed = false;
-            for i in batch_lo..self.live.len() {
-                let src = self.live[i].frame.src;
-                let start = self.live[i].start;
-                let covered = self.live.iter().enumerate().any(|(j, w)| {
-                    j != i
-                        && w.frame.src != src
-                        && w.start <= start
-                        && start < w.end
-                        && link.quality_hint(w.frame.src, src, at) > self.params.sense_threshold
-                });
-                if !covered {
-                    continue;
-                }
-                let windows = self.windows();
-                let free = kernel::free_at(&windows, src, start, link, self.params.sense_threshold);
-                let new_start = free + self.params.difs + self.params.slot * self.backoff_draw(src);
-                let new_end = new_start + (self.live[i].end - self.live[i].start);
-                self.live[i].start = new_start;
-                self.live[i].end = new_end;
-                placements[i - batch_lo].start = new_start;
-                placements[i - batch_lo].end = new_end;
-                changed = true;
-            }
-            if !changed {
-                break;
-            }
-        }
     }
 
     /// Plan the audibility probes whose answers partition one epoch's
@@ -801,16 +744,8 @@ impl<P: Clone> SharedMediumService<P> {
     /// streams, insert the transmissions in handle (= canonical batch)
     /// order, and return the placements in canonical batch order — the
     /// exact state and output [`Self::place_batch`] produces for the same
-    /// batch. Runs the `resense_on_defer` post-pass here when enabled:
-    /// the pass re-evaluates audibility at deferred starts (not at the
-    /// barrier), so it must see the whole merged batch.
-    pub fn merge_placed(
-        &mut self,
-        groups: Vec<PlacedGroup<P>>,
-        at: SimTime,
-        link: &dyn LinkModel,
-    ) -> Vec<Placement> {
-        let batch_lo = self.live.len();
+    /// batch.
+    pub fn merge_placed(&mut self, groups: Vec<PlacedGroup<P>>) -> Vec<Placement> {
         let mut transmissions = Vec::new();
         let mut indexed = Vec::new();
         for g in groups {
@@ -823,11 +758,7 @@ impl<P: Clone> SharedMediumService<P> {
         transmissions.sort_by_key(|(idx, _)| *idx);
         self.live.extend(transmissions.into_iter().map(|(_, t)| t));
         indexed.sort_by_key(|(idx, _)| *idx);
-        let mut placements: Vec<Placement> = indexed.into_iter().map(|(_, p)| p).collect();
-        if self.params.resense_on_defer {
-            self.resense_batch(batch_lo, at, link, &mut placements);
-        }
-        placements
+        indexed.into_iter().map(|(_, p)| p).collect()
     }
 
     /// Drain every placed transmission whose airtime ends before
@@ -871,19 +802,6 @@ impl<P: Clone> SharedMediumService<P> {
         self.live
             .retain(|t| !t.resolved || t.end > min_unresolved_start);
         out
-    }
-
-    /// The interference horizon of `node` at `at`: the latest end among
-    /// live windows it can sense, i.e. the instant until which the node's
-    /// channel-access decisions are constrained by current global state
-    /// (`at` itself when the node senses a free medium). Diagnostic /
-    /// planner API: the runtime's epoch schedule currently derives its
-    /// lookahead from scenario-level contact analysis instead
-    /// (`Scenario::active_seconds`), which bounds this quantity from
-    /// above without consulting live state; an adaptive scheduler could
-    /// tighten epochs with the per-node horizon exposed here.
-    pub fn interference_horizon(&self, node: NodeId, at: SimTime, link: &dyn LinkModel) -> SimTime {
-        kernel::free_at(&self.windows(), node, at, link, self.params.sense_threshold)
     }
 
     /// Number of transmissions currently tracked (unresolved or awaiting
@@ -1184,86 +1102,5 @@ mod tests {
             outs
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn interference_horizon_tracks_audible_windows() {
-        let link = perfect_link(3, 10);
-        let mut med = svc(MacParams::default());
-        assert_eq!(
-            med.interference_horizon(NodeId(1), SimTime::ZERO, &link),
-            SimTime::ZERO,
-            "idle medium: horizon is now"
-        );
-        let ps = med.place_batch(vec![req(0, 1400, 1, SimTime::ZERO)], SimTime::ZERO, &link);
-        assert_eq!(
-            med.interference_horizon(NodeId(1), SimTime::ZERO, &link),
-            ps[0].end,
-            "audible window extends the horizon to its end"
-        );
-        assert_eq!(
-            med.interference_horizon(NodeId(0), ps[0].end, &link),
-            ps[0].end,
-            "past the window the horizon collapses"
-        );
-    }
-
-    #[test]
-    fn resense_flag_closes_the_deferral_gap() {
-        // Asymmetric audibility: node 0 hears node 1, node 1 is deaf to
-        // node 0. In one batch, node 0 arrives first and defers behind a
-        // long window from node 2 (audible to it); node 1 arrives later,
-        // is deaf to everyone, and airs a long frame covering node 0's
-        // deferred start. One-pass placement lets node 0 start mid-window
-        // (the documented gap); with `resense_on_defer` node 0 must wait
-        // node 1's window out.
-        let rng = Rng::new(1);
-        let mut link = TraceLinkModel::new(&rng).with_ge_params(vifi_phy::gilbert::GeParams {
-            fade_depth_db: 0.0,
-            ..Default::default()
-        });
-        for i in 0..3 {
-            link.add_node(NodeId(i), NodeKind::Basestation);
-        }
-        // 2 → 0 and 1 → 0 audible; nothing audible to 1 or 2.
-        link.set_series(NodeId(2), NodeId(0), LossSeries::new(vec![1.0; 10]));
-        link.set_series(NodeId(1), NodeId(0), LossSeries::new(vec![1.0; 10]));
-        let batch = |med: &mut SharedMediumService<u32>, link: &TraceLinkModel| {
-            med.place_batch(
-                vec![
-                    req(2, 200, 9, SimTime::ZERO),            // short window, audible to 0
-                    req(0, 200, 1, SimTime::from_micros(1)),  // defers behind node 2
-                    req(1, 1400, 2, SimTime::from_micros(2)), // deaf, covers 0's start
-                ],
-                SimTime::ZERO,
-                link,
-            )
-        };
-        let mut one_pass = svc(MacParams {
-            cw_slots: 1,
-            ..MacParams::default()
-        });
-        let ps = batch(&mut one_pass, &link);
-        let (p0, p1) = (ps[1], ps[2]);
-        assert!(
-            p1.start <= p0.start && p0.start < p1.end,
-            "one-pass placement must exhibit the gap for this topology \
-             (node 0 starts at {:?} inside node 1's window {:?}..{:?})",
-            p0.start,
-            p1.start,
-            p1.end
-        );
-        let mut resensing = svc(MacParams {
-            cw_slots: 1,
-            resense_on_defer: true,
-            ..MacParams::default()
-        });
-        let ps = batch(&mut resensing, &link);
-        assert!(
-            ps[1].start >= ps[2].end,
-            "re-sensing sender must wait out the audible window: start {:?} vs end {:?}",
-            ps[1].start,
-            ps[2].end
-        );
     }
 }

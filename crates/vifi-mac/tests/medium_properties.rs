@@ -372,7 +372,7 @@ proptest! {
         let groups = med_b.split_batch(second, at, &link_b);
         let mut placed: Vec<_> = groups.into_iter().map(|g| g.place(at)).collect();
         placed.reverse();
-        let merged = med_b.merge_placed(placed, at, &link_b);
+        let merged = med_b.merge_placed(placed);
 
         let fp = |p: &vifi_mac::Placement| (p.handle, p.start, p.end);
         prop_assert_eq!(

@@ -1,26 +1,23 @@
-//! Streaming binary run traces: constant-memory logging and folding.
+//! Binary run traces: the packet log's wire form.
 //!
-//! The in-memory [`RunLog`] materializes one [`TxRecord`] per source
+//! The in-memory [`RunLog`] materializes one record per source
 //! transmission — perfect for post-processing, fatal for days-long runs.
-//! This module provides the streaming alternative:
+//! A binary trace carries the same [`LogEvent`] stream in constant
+//! memory:
 //!
-//! * [`BinaryRunLog`] — a [`LogSink`] that appends each logging event as
-//!   a length-prefixed little-endian record to any `io::Write`, O(1)
+//! * [`BinaryRunLog`] — a [`LogSink`] that appends each event as a
+//!   length-prefixed little-endian record to any `io::Write`, O(1)
 //!   memory no matter the run length;
-//! * [`read_stream`] — replays a binary trace into any [`LogSink`]
-//!   (e.g. back into a `RunLog`, reconstructing it bit-for-bit);
-//! * [`StreamFold`] — a [`LogSink`] that folds the events directly into
-//!   [`Table1`], the Table 2 rates, the [`PerfectRelayOutcome`] oracle
-//!   and the run-log fingerprint *without* materializing the record
-//!   vector. Per-id state is dropped at [`LogSink::retire`], so the
-//!   working set is bounded by packets in flight, not packets ever sent
-//!   ([`StreamSummary::peak_pending`] reports the high-water mark).
+//! * [`read_stream`] — replays a trace into any [`LogSink`]: back into a
+//!   `RunLog`, reconstructing it bit-for-bit, or into a
+//!   [`StreamFold`](crate::StreamFold) for the paper's statistics in
+//!   memory bounded by packets in flight;
+//! * [`read_record`] and [`read_record_body`] — the framing reader behind
+//!   it, for tools that need each record's raw bytes too.
 //!
-//! The fold reproduces [`RunLog`]'s fingerprint bit-for-bit because that
-//! fingerprint combines per-record digests by wrapping addition (see
-//! [`record_digest`]): a record may be finalized the moment its last
-//! mutation is known — at retire, or early when a newer transmission of
-//! the same id supersedes it — in any order, and the sum is unchanged.
+//! Decoding never allocates more than the input holds: a record body is
+//! read only as far as the bytes that back it, and a node count larger
+//! than its record can carry is `InvalidData`.
 //!
 //! ## Record framing
 //!
@@ -35,15 +32,14 @@
 //! | 3 | relay | origin, seq, by u64, via_backplane u8, reached u8 |
 //! | 4 | deliver mark | origin, seq |
 //! | 5 | aux sample | sec u64, size u64 |
-//! | 6 | wireless tx | dir u8 |
-//! | 7 | ack tx | dir u8 |
-//! | 8 | backplane tx | — |
-//! | 9 | ledger delivered | dir u8 |
-//! | 10 | backplane drop | — |
+//! | 6–10 | retired (unit ledger increments; now folded into kind 12) | — |
 //! | 11 | retire | origin, seq |
 //! | 12 | ledger totals | 4×u64 up, 4×u64 down, drops u64 |
+//!
+//! Ledgers are `wireless_tx, backplane_tx, ack_tx, delivered`. The
+//! retired kinds are rejected as unknown; every other kind keeps its
+//! number.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
 use vifi_core::{Direction, PacketId};
@@ -51,11 +47,7 @@ use vifi_metrics::EfficiencyLedger;
 use vifi_phy::NodeId;
 use vifi_sim::SimTime;
 
-use crate::fingerprint::Fingerprint;
-use crate::logging::{
-    median_aux_size, record_digest, ColumnCounts, LogSink, PerfectRelayCounts, PerfectRelayOutcome,
-    RelayFate, RunLog, Table1, TxRecord,
-};
+use crate::logging::{LedgerTotals, LogEvent, LogSink, RunLog};
 
 const K_SOURCE_TX: u8 = 0;
 const K_ACK_ATTACH: u8 = 1;
@@ -63,11 +55,6 @@ const K_DECISION: u8 = 2;
 const K_RELAY: u8 = 3;
 const K_DELIVER_MARK: u8 = 4;
 const K_AUX_SAMPLE: u8 = 5;
-const K_WIRELESS_TX: u8 = 6;
-const K_ACK_TX: u8 = 7;
-const K_BACKPLANE_TX: u8 = 8;
-const K_LEDGER_DELIVERED: u8 = 9;
-const K_BACKPLANE_DROP: u8 = 10;
 const K_RETIRE: u8 = 11;
 const K_LEDGER_TOTALS: u8 = 12;
 
@@ -82,11 +69,16 @@ fn byte_dir(b: u8) -> io::Result<Direction> {
     match b {
         0 => Ok(Direction::Upstream),
         1 => Ok(Direction::Downstream),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad direction byte {b}"),
-        )),
+        _ => Err(invalid(format!("bad direction byte {b}"))),
     }
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn truncated() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "truncated record")
 }
 
 /// A [`LogSink`] that serializes every event as a length-prefixed binary
@@ -124,25 +116,6 @@ impl<W: Write> BinaryRunLog<W> {
         self.w.flush()?;
         Ok(self.w)
     }
-
-    fn emit(&mut self, kind: u8, at: SimTime, body: impl FnOnce(&mut Vec<u8>)) {
-        if self.err.is_some() {
-            return;
-        }
-        self.buf.clear();
-        self.buf.push(kind);
-        self.buf.extend_from_slice(&at.as_micros().to_le_bytes());
-        body(&mut self.buf);
-        let len = self.buf.len() as u32;
-        let res = self
-            .w
-            .write_all(&len.to_le_bytes())
-            .and_then(|()| self.w.write_all(&self.buf));
-        match res {
-            Ok(()) => self.records += 1,
-            Err(e) => self.err = Some(e),
-        }
-    }
 }
 
 fn push_id(buf: &mut Vec<u8>, id: PacketId) {
@@ -157,552 +130,276 @@ fn push_nodes(buf: &mut Vec<u8>, nodes: &[NodeId]) {
     }
 }
 
-impl<W: Write> LogSink for BinaryRunLog<W> {
-    fn source_tx(
-        &mut self,
-        at: SimTime,
-        id: PacketId,
-        dir: Direction,
-        aux_set: Vec<NodeId>,
-        aux_heard: Vec<NodeId>,
-        dst_heard: bool,
-    ) {
-        self.emit(K_SOURCE_TX, at, |b| {
-            push_id(b, id);
-            b.push(dir_byte(dir));
-            b.push(dst_heard as u8);
-            push_nodes(b, &aux_set);
-            push_nodes(b, &aux_heard);
-        });
-    }
-
-    fn ack_attach(&mut self, at: SimTime, id: PacketId, heard_by: &[NodeId]) {
-        self.emit(K_ACK_ATTACH, at, |b| {
-            push_id(b, id);
+/// Append the record of `ev` at `at` — `kind | at_micros | body`, without
+/// the length prefix — to `b`.
+fn encode(at: SimTime, ev: &LogEvent, b: &mut Vec<u8>) {
+    let kind = match ev {
+        LogEvent::SourceTx { .. } => K_SOURCE_TX,
+        LogEvent::AckAttach { .. } => K_ACK_ATTACH,
+        LogEvent::Decision { .. } => K_DECISION,
+        LogEvent::Relay { .. } => K_RELAY,
+        LogEvent::DeliverMark { .. } => K_DELIVER_MARK,
+        LogEvent::AuxSample { .. } => K_AUX_SAMPLE,
+        LogEvent::Retire { .. } => K_RETIRE,
+        LogEvent::LedgerTotals(_) => K_LEDGER_TOTALS,
+    };
+    b.push(kind);
+    b.extend_from_slice(&at.as_micros().to_le_bytes());
+    match ev {
+        LogEvent::SourceTx {
+            id,
+            dir,
+            aux_set,
+            aux_heard,
+            dst_heard,
+        } => {
+            push_id(b, *id);
+            b.push(dir_byte(*dir));
+            b.push(*dst_heard as u8);
+            push_nodes(b, aux_set);
+            push_nodes(b, aux_heard);
+        }
+        LogEvent::AckAttach { id, heard_by } => {
+            push_id(b, *id);
             push_nodes(b, heard_by);
-        });
-    }
-
-    fn decision(&mut self, at: SimTime, id: PacketId, aux: NodeId, prob: f64, relayed: bool) {
-        self.emit(K_DECISION, at, |b| {
-            push_id(b, id);
+        }
+        LogEvent::Decision {
+            id,
+            aux,
+            prob,
+            relayed,
+        } => {
+            push_id(b, *id);
             b.extend_from_slice(&aux.label().to_le_bytes());
             b.extend_from_slice(&prob.to_bits().to_le_bytes());
-            b.push(relayed as u8);
-        });
-    }
-
-    fn relay(&mut self, at: SimTime, id: PacketId, by: NodeId, via_backplane: bool, reached: bool) {
-        self.emit(K_RELAY, at, |b| {
-            push_id(b, id);
+            b.push(*relayed as u8);
+        }
+        LogEvent::Relay {
+            id,
+            by,
+            via_backplane,
+            reached,
+        } => {
+            push_id(b, *id);
             b.extend_from_slice(&by.label().to_le_bytes());
-            b.push(via_backplane as u8);
-            b.push(reached as u8);
-        });
-    }
-
-    fn deliver_mark(&mut self, at: SimTime, id: PacketId) {
-        self.emit(K_DELIVER_MARK, at, |b| push_id(b, id));
-    }
-
-    fn aux_sample(&mut self, at: SimTime, sec: u64, size: usize) {
-        self.emit(K_AUX_SAMPLE, at, |b| {
+            b.push(*via_backplane as u8);
+            b.push(*reached as u8);
+        }
+        LogEvent::DeliverMark { id } | LogEvent::Retire { id } => push_id(b, *id),
+        LogEvent::AuxSample { sec, size } => {
             b.extend_from_slice(&sec.to_le_bytes());
-            b.extend_from_slice(&(size as u64).to_le_bytes());
-        });
-    }
-
-    fn wireless_tx(&mut self, at: SimTime, dir: Direction) {
-        self.emit(K_WIRELESS_TX, at, |b| b.push(dir_byte(dir)));
-    }
-
-    fn ack_tx(&mut self, at: SimTime, dir: Direction) {
-        self.emit(K_ACK_TX, at, |b| b.push(dir_byte(dir)));
-    }
-
-    fn backplane_tx(&mut self, at: SimTime) {
-        self.emit(K_BACKPLANE_TX, at, |_| {});
-    }
-
-    fn ledger_delivered(&mut self, at: SimTime, dir: Direction) {
-        self.emit(K_LEDGER_DELIVERED, at, |b| b.push(dir_byte(dir)));
-    }
-
-    fn backplane_drop_count(&mut self, at: SimTime) {
-        self.emit(K_BACKPLANE_DROP, at, |_| {});
-    }
-
-    fn retire(&mut self, at: SimTime, id: PacketId) {
-        self.emit(K_RETIRE, at, |b| push_id(b, id));
-    }
-
-    fn ledger_totals(&mut self, up: [u64; 4], down: [u64; 4], backplane_drops: u64) {
-        self.emit(K_LEDGER_TOTALS, SimTime::ZERO, |b| {
-            for v in up.iter().chain(down.iter()) {
-                b.extend_from_slice(&v.to_le_bytes());
+            b.extend_from_slice(&(*size as u64).to_le_bytes());
+        }
+        LogEvent::LedgerTotals(t) => {
+            for l in [&t.up, &t.down] {
+                for v in [l.wireless_tx, l.backplane_tx, l.ack_tx, l.delivered] {
+                    b.extend_from_slice(&v.to_le_bytes());
+                }
             }
-            b.extend_from_slice(&backplane_drops.to_le_bytes());
-        });
+            b.extend_from_slice(&t.backplane_drops.to_le_bytes());
+        }
     }
 }
 
-/// Cursor over one record body.
+impl<W: Write> LogSink for BinaryRunLog<W> {
+    fn apply(&mut self, at: SimTime, ev: LogEvent) {
+        if self.err.is_some() {
+            return;
+        }
+        self.buf.clear();
+        encode(at, &ev, &mut self.buf);
+        let len = self.buf.len() as u32;
+        let res = self
+            .w
+            .write_all(&len.to_le_bytes())
+            .and_then(|()| self.w.write_all(&self.buf));
+        match res {
+            Ok(()) => self.records += 1,
+            Err(e) => self.err = Some(e),
+        }
+    }
+}
+
+/// Cursor over the bytes of one record.
 struct Body<'a> {
     b: &'a [u8],
-    off: usize,
 }
 
 impl<'a> Body<'a> {
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        if self.b.len() < n {
+            return Err(truncated());
+        }
+        let (head, rest) = self.b.split_at(n);
+        self.b = rest;
+        Ok(head)
+    }
+
     fn u8(&mut self) -> io::Result<u8> {
-        let v = *self
-            .b
-            .get(self.off)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated record"))?;
-        self.off += 1;
-        Ok(v)
+        Ok(self.take(1)?[0])
+    }
+
+    fn flag(&mut self) -> io::Result<bool> {
+        Ok(self.u8()? != 0)
     }
 
     fn u32(&mut self) -> io::Result<u32> {
-        let s = self
-            .b
-            .get(self.off..self.off + 4)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated record"))?;
-        self.off += 4;
-        Ok(u32::from_le_bytes(s.try_into().unwrap()))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self) -> io::Result<u64> {
-        let s = self
-            .b
-            .get(self.off..self.off + 8)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated record"))?;
-        self.off += 8;
-        Ok(u64::from_le_bytes(s.try_into().unwrap()))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    fn node(&mut self) -> io::Result<NodeId> {
+        Ok(NodeId(self.u64()? as u32))
     }
 
     fn id(&mut self) -> io::Result<PacketId> {
         Ok(PacketId {
-            origin: NodeId(self.u64()? as u32),
+            origin: self.node()?,
             seq: self.u64()?,
         })
     }
 
     fn nodes(&mut self) -> io::Result<Vec<NodeId>> {
         let n = self.u32()? as usize;
+        let room = self.b.len() / 8;
+        if n > room {
+            return Err(invalid(format!(
+                "record claims {n} nodes but holds at most {room}"
+            )));
+        }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(NodeId(self.u64()? as u32));
+            out.push(self.node()?);
         }
         Ok(out)
     }
+
+    fn ledger(&mut self) -> io::Result<EfficiencyLedger> {
+        Ok(EfficiencyLedger {
+            wireless_tx: self.u64()?,
+            backplane_tx: self.u64()?,
+            ack_tx: self.u64()?,
+            delivered: self.u64()?,
+        })
+    }
+}
+
+/// Decode one record — `kind | at_micros | body`, the bytes after its
+/// length prefix.
+// Inlined with the two readers below into each reading loop, so a decoded
+// event moves straight into its sink: the `runlog_stream_10k` bench folds
+// its trace ~15% faster than through a call boundary.
+#[inline(always)]
+fn decode(rec: &[u8]) -> io::Result<(SimTime, LogEvent)> {
+    if rec.len() < 9 {
+        return Err(invalid(format!("record too short: {} bytes", rec.len())));
+    }
+    let mut body = Body { b: rec };
+    let kind = body.u8()?;
+    let at = SimTime::from_micros(body.u64()?);
+    let ev = match kind {
+        K_SOURCE_TX => LogEvent::SourceTx {
+            id: body.id()?,
+            dir: byte_dir(body.u8()?)?,
+            dst_heard: body.flag()?,
+            aux_set: body.nodes()?,
+            aux_heard: body.nodes()?,
+        },
+        K_ACK_ATTACH => LogEvent::AckAttach {
+            id: body.id()?,
+            heard_by: body.nodes()?,
+        },
+        K_DECISION => LogEvent::Decision {
+            id: body.id()?,
+            aux: body.node()?,
+            prob: f64::from_bits(body.u64()?),
+            relayed: body.flag()?,
+        },
+        K_RELAY => LogEvent::Relay {
+            id: body.id()?,
+            by: body.node()?,
+            via_backplane: body.flag()?,
+            reached: body.flag()?,
+        },
+        K_DELIVER_MARK => LogEvent::DeliverMark { id: body.id()? },
+        K_AUX_SAMPLE => LogEvent::AuxSample {
+            sec: body.u64()?,
+            size: body.u64()? as usize,
+        },
+        K_RETIRE => LogEvent::Retire { id: body.id()? },
+        K_LEDGER_TOTALS => LogEvent::LedgerTotals(Box::new(LedgerTotals {
+            up: body.ledger()?,
+            down: body.ledger()?,
+            backplane_drops: body.u64()?,
+        })),
+        k => return Err(invalid(format!("unknown record kind {k}"))),
+    };
+    Ok((at, ev))
+}
+
+/// Read and decode a record whose length, `len`, was framed elsewhere
+/// (the length prefix of a trace, or the header of a capture wrapping
+/// one). The record's raw bytes are left in `buf`, which grows only as
+/// far as the input actually backs the claimed length.
+#[inline(always)]
+pub fn read_record_body<R: Read>(
+    r: &mut R,
+    len: u32,
+    buf: &mut Vec<u8>,
+) -> io::Result<(SimTime, LogEvent)> {
+    let len = len as usize;
+    buf.clear();
+    if len <= buf.capacity() {
+        // Room the buffer already holds: no allocation rides on the claim.
+        buf.resize(len, 0);
+        r.read_exact(buf)?;
+    } else if r.take(len as u64).read_to_end(buf)? < len {
+        return Err(truncated());
+    }
+    decode(buf)
+}
+
+/// Read the next length-prefixed record of a trace, leaving its raw
+/// bytes (without the prefix) in `buf`. `None` at a clean end of input;
+/// input that ends inside a record is an `UnexpectedEof` error.
+#[inline(always)]
+pub fn read_record<R: Read>(
+    r: &mut R,
+    buf: &mut Vec<u8>,
+) -> io::Result<Option<(SimTime, LogEvent)>> {
+    let mut len = [0u8; 4];
+    loop {
+        match r.read(&mut len[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    r.read_exact(&mut len[1..])?;
+    read_record_body(r, u32::from_le_bytes(len), buf).map(Some)
 }
 
 /// Replay a binary trace into any [`LogSink`], returning the number of
 /// records consumed. Feeding a trace written by [`BinaryRunLog`] into a
 /// fresh [`RunLog`] reconstructs the original log bit-for-bit (same
-/// fingerprint); feeding it into a [`StreamFold`] computes the paper's
-/// statistics in constant memory.
+/// fingerprint); feeding it into a [`StreamFold`](crate::StreamFold)
+/// computes the paper's statistics in constant memory.
 pub fn read_stream<R: Read, S: LogSink>(mut r: R, sink: &mut S) -> io::Result<u64> {
+    let mut buf = Vec::with_capacity(128);
     let mut count = 0u64;
-    let mut body_buf = Vec::with_capacity(128);
-    loop {
-        let mut len_bytes = [0u8; 4];
-        match r.read_exact(&mut len_bytes) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(count),
-            Err(e) => return Err(e),
-        }
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len < 9 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("record too short: {len} bytes"),
-            ));
-        }
-        body_buf.resize(len, 0);
-        r.read_exact(&mut body_buf)?;
-        let kind = body_buf[0];
-        let at = SimTime::from_micros(u64::from_le_bytes(body_buf[1..9].try_into().unwrap()));
-        let mut body = Body {
-            b: &body_buf,
-            off: 9,
-        };
-        match kind {
-            K_SOURCE_TX => {
-                let id = body.id()?;
-                let dir = byte_dir(body.u8()?)?;
-                let dst_heard = body.u8()? != 0;
-                let aux_set = body.nodes()?;
-                let aux_heard = body.nodes()?;
-                sink.source_tx(at, id, dir, aux_set, aux_heard, dst_heard);
-            }
-            K_ACK_ATTACH => {
-                let id = body.id()?;
-                let heard_by = body.nodes()?;
-                sink.ack_attach(at, id, &heard_by);
-            }
-            K_DECISION => {
-                let id = body.id()?;
-                let aux = NodeId(body.u64()? as u32);
-                let prob = f64::from_bits(body.u64()?);
-                let relayed = body.u8()? != 0;
-                sink.decision(at, id, aux, prob, relayed);
-            }
-            K_RELAY => {
-                let id = body.id()?;
-                let by = NodeId(body.u64()? as u32);
-                let via = body.u8()? != 0;
-                let reached = body.u8()? != 0;
-                sink.relay(at, id, by, via, reached);
-            }
-            K_DELIVER_MARK => {
-                let id = body.id()?;
-                sink.deliver_mark(at, id);
-            }
-            K_AUX_SAMPLE => {
-                let sec = body.u64()?;
-                let size = body.u64()? as usize;
-                sink.aux_sample(at, sec, size);
-            }
-            K_WIRELESS_TX => sink.wireless_tx(at, byte_dir(body.u8()?)?),
-            K_ACK_TX => sink.ack_tx(at, byte_dir(body.u8()?)?),
-            K_BACKPLANE_TX => sink.backplane_tx(at),
-            K_LEDGER_DELIVERED => sink.ledger_delivered(at, byte_dir(body.u8()?)?),
-            K_BACKPLANE_DROP => sink.backplane_drop_count(at),
-            K_RETIRE => {
-                let id = body.id()?;
-                sink.retire(at, id);
-            }
-            K_LEDGER_TOTALS => {
-                let mut up = [0u64; 4];
-                let mut down = [0u64; 4];
-                for v in up.iter_mut().chain(down.iter_mut()) {
-                    *v = body.u64()?;
-                }
-                let drops = body.u64()?;
-                sink.ledger_totals(up, down, drops);
-            }
-            k => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown record kind {k}"),
-                ))
-            }
-        }
+    while let Some((at, ev)) = read_record(&mut r, &mut buf)? {
+        sink.apply(at, ev);
         count += 1;
     }
-}
-
-/// Everything the streaming fold derives from a trace.
-#[derive(Clone, Debug)]
-pub struct StreamSummary {
-    /// Source-transmission records seen.
-    pub records: u64,
-    /// The run-log fingerprint — bit-identical to
-    /// [`RunLog::fingerprint`](crate::Fingerprintable::fingerprint) of
-    /// the equivalent in-memory log.
-    pub fingerprint: u64,
-    /// Table 1, both directions.
-    pub table1: Table1,
-    /// Table 2 downstream false-positive rate (B2).
-    pub table2_false_positives: f64,
-    /// Table 2 downstream false-negative rate (C3).
-    pub table2_false_negatives: f64,
-    /// The §5.4 PerfectRelay oracle estimate.
-    pub perfect_relay: PerfectRelayOutcome,
-    /// Upstream efficiency ledger.
-    pub ledger_up: EfficiencyLedger,
-    /// Downstream efficiency ledger.
-    pub ledger_down: EfficiencyLedger,
-    /// Backplane drops.
-    pub backplane_drops: u64,
-    /// High-water mark of simultaneously pending (unfinalized) records —
-    /// the fold's working set, bounded by packets in flight rather than
-    /// run length.
-    pub peak_pending: usize,
-}
-
-/// Per-id working state of the fold.
-struct IdState {
-    next_attempt: u32,
-    /// Unfinalized records of this id, creation order, with their global
-    /// creation index.
-    pending: Vec<(u64, TxRecord)>,
-    /// The oracle delivered this id (per-id dedup of
-    /// [`PerfectRelayCounts::add_record`]).
-    oracle_delivered: Option<Direction>,
-}
-
-/// A [`LogSink`] that folds the event stream straight into the derived
-/// statistics. See the module docs for the finalization rules that keep
-/// its fingerprint bit-identical to the in-memory path.
-#[derive(Default)]
-pub struct StreamFold {
-    ids: HashMap<PacketId, IdState>,
-    digest_sum: u64,
-    record_count: u64,
-    next_index: u64,
-    counts_up: ColumnCounts,
-    counts_down: ColumnCounts,
-    oracle: PerfectRelayCounts,
-    aux_sizes: Vec<(u64, usize)>,
-    ledger_up: EfficiencyLedger,
-    ledger_down: EfficiencyLedger,
-    backplane_drops: u64,
-    pending_now: usize,
-    peak_pending: usize,
-}
-
-impl StreamFold {
-    /// Fresh fold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ledger_mut(&mut self, dir: Direction) -> &mut EfficiencyLedger {
-        match dir {
-            Direction::Upstream => &mut self.ledger_up,
-            Direction::Downstream => &mut self.ledger_down,
-        }
-    }
-
-    /// Fold a finalized record into digest sum, Table 1 counts and the
-    /// oracle. Requires that no later event mutates the record.
-    fn finalize(
-        digest_sum: &mut u64,
-        counts_up: &mut ColumnCounts,
-        counts_down: &mut ColumnCounts,
-        oracle: &mut PerfectRelayCounts,
-        state_oracle: &mut Option<Direction>,
-        index: u64,
-        rec: &TxRecord,
-    ) {
-        *digest_sum = digest_sum.wrapping_add(record_digest(index, rec));
-        match rec.dir {
-            Direction::Upstream => counts_up.add_record(rec),
-            Direction::Downstream => counts_down.add_record(rec),
-        }
-        if oracle.add_record(rec) && state_oracle.is_none() {
-            *state_oracle = Some(rec.dir);
-        }
-    }
-
-    fn retire_id(&mut self, id: PacketId) {
-        if let Some(mut state) = self.ids.remove(&id) {
-            self.pending_now -= state.pending.len();
-            for (index, rec) in state.pending.drain(..) {
-                Self::finalize(
-                    &mut self.digest_sum,
-                    &mut self.counts_up,
-                    &mut self.counts_down,
-                    &mut self.oracle,
-                    &mut state.oracle_delivered,
-                    index,
-                    &rec,
-                );
-            }
-            match state.oracle_delivered {
-                Some(Direction::Upstream) => self.oracle.up_delivered += 1,
-                Some(Direction::Downstream) => self.oracle.down_delivered += 1,
-                None => {}
-            }
-        }
-    }
-
-    /// Finalize everything still pending (ids the stream never retired)
-    /// and produce the summary.
-    pub fn finish(mut self) -> StreamSummary {
-        let ids: Vec<PacketId> = self.ids.keys().copied().collect();
-        for id in ids {
-            self.retire_id(id);
-        }
-        let a1 = median_aux_size(&self.aux_sizes);
-        // Reproduce RunLog::fingerprint_into exactly: record count, the
-        // commutative digest sum, aux samples in order, ledgers, drops.
-        let mut fp = Fingerprint::new();
-        fp.push_len(self.record_count as usize);
-        fp.push_u64(self.digest_sum);
-        fp.push_len(self.aux_sizes.len());
-        for &(sec, size) in &self.aux_sizes {
-            fp.push_u64(sec);
-            fp.push_len(size);
-        }
-        for ledger in [&self.ledger_up, &self.ledger_down] {
-            fp.push_u64(ledger.wireless_tx);
-            fp.push_u64(ledger.backplane_tx);
-            fp.push_u64(ledger.ack_tx);
-            fp.push_u64(ledger.delivered);
-        }
-        fp.push_u64(self.backplane_drops);
-
-        let table1 = Table1 {
-            up: self.counts_up.into_column(a1),
-            down: self.counts_down.into_column(a1),
-        };
-        StreamSummary {
-            records: self.record_count,
-            fingerprint: fp.finish(),
-            table2_false_positives: table1.down.b2_false_positive,
-            table2_false_negatives: table1.down.c3_false_negative,
-            table1,
-            perfect_relay: self.oracle.into_outcome(),
-            ledger_up: self.ledger_up,
-            ledger_down: self.ledger_down,
-            backplane_drops: self.backplane_drops,
-            peak_pending: self.peak_pending,
-        }
-    }
-}
-
-impl LogSink for StreamFold {
-    fn source_tx(
-        &mut self,
-        at: SimTime,
-        id: PacketId,
-        dir: Direction,
-        aux_set: Vec<NodeId>,
-        aux_heard: Vec<NodeId>,
-        dst_heard: bool,
-    ) {
-        let index = self.next_index;
-        self.next_index += 1;
-        self.record_count += 1;
-        let state = self.ids.entry(id).or_insert_with(|| IdState {
-            next_attempt: 0,
-            pending: Vec::new(),
-            oracle_delivered: None,
-        });
-        let attempt = state.next_attempt;
-        state.next_attempt += 1;
-        // Earlier records of this id that are already marked delivered
-        // can never change again (the flag only goes false → true and
-        // attachments only target the latest record): finalize them now
-        // so long-lived ids do not pile up working state.
-        let mut i = 0;
-        while i < state.pending.len() {
-            if state.pending[i].1.delivered {
-                let (idx, rec) = state.pending.remove(i);
-                Self::finalize(
-                    &mut self.digest_sum,
-                    &mut self.counts_up,
-                    &mut self.counts_down,
-                    &mut self.oracle,
-                    &mut state.oracle_delivered,
-                    idx,
-                    &rec,
-                );
-                self.pending_now -= 1;
-            } else {
-                i += 1;
-            }
-        }
-        state.pending.push((
-            index,
-            TxRecord {
-                id,
-                attempt,
-                dir,
-                at,
-                aux_set,
-                aux_heard,
-                dst_heard,
-                ack_heard_by: Vec::new(),
-                decisions: Vec::new(),
-                relays: Vec::new(),
-                delivered: false,
-            },
-        ));
-        self.pending_now += 1;
-        self.peak_pending = self.peak_pending.max(self.pending_now);
-    }
-
-    fn ack_attach(&mut self, _at: SimTime, id: PacketId, heard_by: &[NodeId]) {
-        if let Some(state) = self.ids.get_mut(&id) {
-            if let Some((_, r)) = state.pending.last_mut() {
-                // Same membership/dedup rule as RunLog::on_ack_heard.
-                for n in heard_by {
-                    if r.aux_set.contains(n) && !r.ack_heard_by.contains(n) {
-                        r.ack_heard_by.push(*n);
-                    }
-                }
-            }
-        }
-    }
-
-    fn decision(&mut self, _at: SimTime, id: PacketId, aux: NodeId, prob: f64, relayed: bool) {
-        if let Some(state) = self.ids.get_mut(&id) {
-            if let Some((_, r)) = state.pending.last_mut() {
-                r.decisions.push((aux, prob, relayed));
-            }
-        }
-    }
-
-    fn relay(
-        &mut self,
-        _at: SimTime,
-        id: PacketId,
-        by: NodeId,
-        via_backplane: bool,
-        reached: bool,
-    ) {
-        if let Some(state) = self.ids.get_mut(&id) {
-            if let Some((_, r)) = state.pending.last_mut() {
-                r.relays.push(RelayFate {
-                    by,
-                    via_backplane,
-                    reached_dst: reached,
-                });
-            }
-        }
-    }
-
-    fn deliver_mark(&mut self, _at: SimTime, id: PacketId) {
-        if let Some(state) = self.ids.get_mut(&id) {
-            for (_, r) in &mut state.pending {
-                r.delivered = true;
-            }
-        }
-    }
-
-    fn aux_sample(&mut self, _at: SimTime, sec: u64, size: usize) {
-        if self.aux_sizes.last().map(|&(s, _)| s) != Some(sec) {
-            self.aux_sizes.push((sec, size));
-        }
-    }
-
-    fn wireless_tx(&mut self, _at: SimTime, dir: Direction) {
-        self.ledger_mut(dir).on_wireless_tx();
-    }
-
-    fn ack_tx(&mut self, _at: SimTime, dir: Direction) {
-        self.ledger_mut(dir).on_ack_tx();
-    }
-
-    fn backplane_tx(&mut self, _at: SimTime) {
-        self.ledger_up.on_backplane_tx();
-    }
-
-    fn ledger_delivered(&mut self, _at: SimTime, dir: Direction) {
-        self.ledger_mut(dir).on_delivered();
-    }
-
-    fn backplane_drop_count(&mut self, _at: SimTime) {
-        self.backplane_drops += 1;
-    }
-
-    fn retire(&mut self, _at: SimTime, id: PacketId) {
-        self.retire_id(id);
-    }
-
-    fn ledger_totals(&mut self, up: [u64; 4], down: [u64; 4], backplane_drops: u64) {
-        for (ledger, t) in [(&mut self.ledger_up, up), (&mut self.ledger_down, down)] {
-            ledger.wireless_tx += t[0];
-            ledger.backplane_tx += t[1];
-            ledger.ack_tx += t[2];
-            ledger.delivered += t[3];
-        }
-        self.backplane_drops += backplane_drops;
-    }
+    Ok(count)
 }
 
 impl RunLog {
@@ -713,21 +410,12 @@ impl RunLog {
         self.replay_into(&mut sink);
         sink.finish()
     }
-
-    /// Fold this log's replayed event stream with [`StreamFold`] —
-    /// convenience for tests and tools that want the streaming summary
-    /// without a byte round-trip.
-    pub fn stream_summary(&self) -> StreamSummary {
-        let mut fold = StreamFold::new();
-        self.replay_into(&mut fold);
-        fold.finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Fingerprintable;
+    use crate::{Fingerprintable, PerfectRelayOutcome, StreamFold, Table1};
 
     fn id(origin: u32, seq: u64) -> PacketId {
         PacketId {
@@ -740,52 +428,82 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    fn tx(
+        id: PacketId,
+        dir: Direction,
+        aux: Vec<NodeId>,
+        heard: Vec<NodeId>,
+        dst: bool,
+    ) -> LogEvent {
+        LogEvent::SourceTx {
+            id,
+            dir,
+            aux_set: aux,
+            aux_heard: heard,
+            dst_heard: dst,
+        }
+    }
+
     /// Build a small but featureful log: retransmissions, acks,
     /// decisions, relays (both planes), deliveries, aux samples, ledger
     /// traffic.
     fn sample_log() -> RunLog {
         let mut log = RunLog::new();
         let aux = |n: u32| (10..10 + n).map(NodeId).collect::<Vec<_>>();
-        log.on_aux_sample(0, 3);
-        log.on_aux_sample(1, 2);
+        log.apply(t(0), LogEvent::AuxSample { sec: 0, size: 3 });
+        log.apply(t(1000), LogEvent::AuxSample { sec: 1, size: 2 });
+        let up = Direction::Upstream;
         for seq in 0..4u64 {
-            log.on_source_tx(
-                id(0, seq),
-                Direction::Upstream,
-                t(seq * 10),
-                aux(3),
-                vec![NodeId(10)],
-                seq % 2 == 0,
-            );
+            let heard = vec![NodeId(10)];
+            log.apply(t(seq * 10), tx(id(0, seq), up, aux(3), heard, seq % 2 == 0));
             log.ledger_up.on_wireless_tx();
         }
         // Retransmission chain for seq 1.
-        log.on_source_tx(
-            id(0, 1),
-            Direction::Upstream,
+        let heard = vec![NodeId(10), NodeId(11)];
+        log.apply(t(100), tx(id(0, 1), up, aux(3), heard, false));
+        let heard_by = vec![NodeId(10), NodeId(99)];
+        log.apply(
             t(100),
-            aux(3),
-            vec![NodeId(10), NodeId(11)],
-            false,
+            LogEvent::AckAttach {
+                id: id(0, 1),
+                heard_by,
+            },
         );
-        log.on_ack_heard(id(0, 1), &[NodeId(10), NodeId(99)]);
-        log.on_decision(id(0, 1), NodeId(11), 0.7, true);
-        log.on_relay(id(0, 1), NodeId(11), true, true);
-        log.on_delivered(id(0, 1));
+        let decision = LogEvent::Decision {
+            id: id(0, 1),
+            aux: NodeId(11),
+            prob: 0.7,
+            relayed: true,
+        };
+        log.apply(t(100), decision);
+        let relay = LogEvent::Relay {
+            id: id(0, 1),
+            by: NodeId(11),
+            via_backplane: true,
+            reached: true,
+        };
+        log.apply(t(100), relay);
+        log.apply(t(100), LogEvent::DeliverMark { id: id(0, 1) });
         log.ledger_up.on_backplane_tx();
         log.ledger_up.on_delivered();
         // A downstream packet.
-        log.on_source_tx(
-            id(5, 9),
-            Direction::Downstream,
-            t(200),
-            aux(2),
-            vec![NodeId(10)],
-            false,
-        );
-        log.on_decision(id(5, 9), NodeId(10), 0.5, true);
-        log.on_relay(id(5, 9), NodeId(10), false, true);
-        log.on_delivered(id(5, 9));
+        let down = Direction::Downstream;
+        log.apply(t(200), tx(id(5, 9), down, aux(2), vec![NodeId(10)], false));
+        let decision = LogEvent::Decision {
+            id: id(5, 9),
+            aux: NodeId(10),
+            prob: 0.5,
+            relayed: true,
+        };
+        log.apply(t(200), decision);
+        let relay = LogEvent::Relay {
+            id: id(5, 9),
+            by: NodeId(10),
+            via_backplane: false,
+            reached: true,
+        };
+        log.apply(t(200), relay);
+        log.apply(t(200), LogEvent::DeliverMark { id: id(5, 9) });
         log.ledger_down.on_wireless_tx();
         log.ledger_down.on_delivered();
         log.backplane_drops = 2;
@@ -851,18 +569,13 @@ mod tests {
         // pending working set stays at 1 no matter how many records.
         let mut sink = StreamFold::new();
         for seq in 0..1000u64 {
-            sink.source_tx(
-                t(seq),
-                id(0, seq),
-                Direction::Upstream,
-                vec![NodeId(10)],
-                vec![NodeId(10)],
-                true,
-            );
-            sink.deliver_mark(t(seq), id(0, seq));
-            sink.retire(t(seq), id(0, seq));
+            let heard = vec![NodeId(10)];
+            let ev = tx(id(0, seq), Direction::Upstream, heard.clone(), heard, true);
+            sink.apply(t(seq), ev);
+            sink.apply(t(seq), LogEvent::DeliverMark { id: id(0, seq) });
+            sink.apply(t(seq), LogEvent::Retire { id: id(0, seq) });
         }
-        sink.ledger_totals([0; 4], [0; 4], 0);
+        sink.apply(t(0), LogEvent::LedgerTotals(Box::default()));
         let s = sink.finish();
         assert_eq!(s.records, 1000);
         assert_eq!(s.peak_pending, 1, "working set bounded by in-flight ids");
@@ -883,19 +596,62 @@ mod tests {
         // digest still matches the in-memory log.
         let mut log = RunLog::new();
         for seq in 0..6u64 {
-            log.on_source_tx(
+            let aux = vec![NodeId(10), NodeId(11)];
+            let ev = tx(
                 id(0, seq % 3),
                 Direction::Upstream,
-                t(seq * 5),
-                vec![NodeId(10), NodeId(11)],
+                aux,
                 vec![NodeId(10)],
                 false,
             );
+            log.apply(t(seq * 5), ev);
         }
-        log.on_delivered(id(0, 1));
+        log.apply(t(30), LogEvent::DeliverMark { id: id(0, 1) });
         let bytes = log.write_binary(Vec::new()).unwrap();
         let mut fold = StreamFold::new();
         read_stream(&bytes[..], &mut fold).unwrap();
         assert_eq!(fold.finish().fingerprint, log.fingerprint());
+    }
+
+    fn read_err(bytes: &[u8]) -> io::ErrorKind {
+        let mut log = RunLog::new();
+        read_stream(bytes, &mut log)
+            .expect_err("hostile trace")
+            .kind()
+    }
+
+    #[test]
+    fn huge_claimed_length_ends_at_the_input() {
+        // A length prefix claiming 4 GiB with nothing behind it: an EOF
+        // error, with no buffer sized by the claim.
+        assert_eq!(read_err(&[0xff; 4]), io::ErrorKind::UnexpectedEof);
+        // A length prefix cut short is truncation, not a clean end.
+        assert_eq!(read_err(&[0x09, 0x00]), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn node_count_beyond_the_record_is_invalid() {
+        // A 35-byte source-tx record whose aux set claims u32::MAX nodes.
+        let mut b = Vec::new();
+        b.extend_from_slice(&31u32.to_le_bytes());
+        b.push(K_SOURCE_TX);
+        b.extend_from_slice(&0u64.to_le_bytes()); // at
+        b.extend_from_slice(&1u64.to_le_bytes()); // origin
+        b.extend_from_slice(&7u64.to_le_bytes()); // seq
+        b.extend_from_slice(&[0, 1]); // dir, dst_heard
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(b.len(), 35);
+        assert_eq!(read_err(&b), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn retired_ledger_kinds_are_rejected() {
+        // Kind 6, the retired per-transmission wireless tick.
+        let mut b = Vec::new();
+        b.extend_from_slice(&10u32.to_le_bytes());
+        b.push(6);
+        b.extend_from_slice(&0u64.to_le_bytes());
+        b.push(0);
+        assert_eq!(read_err(&b), io::ErrorKind::InvalidData);
     }
 }

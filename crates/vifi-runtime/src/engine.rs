@@ -8,8 +8,8 @@
 //! Time is divided into epochs by a [`HierarchicalSchedule`]. The fleet
 //! decomposes into radio-disjoint **contact clusters** (one cluster when
 //! the whole fleet is one contact cluster); each cluster keeps its radio
-//! state — medium, link instance, aux snapshots — in its own `ClusterRt`
-//! and crosses the fine boundaries of its own activity, and the engine
+//! state — medium and aux snapshots — in its own `ClusterRt` and
+//! crosses the fine boundaries of its own activity, and the engine
 //! walks the union of those boundaries lazily ([`BoundaryWalk`]). Within
 //! an epoch every shard dispatches only its own lanes' events, and **all
 //! inter-node effects cross at barriers** in canonically sorted batches.
@@ -26,8 +26,9 @@
 //! Rendezvous are every boundary of a one-cluster fleet and the coarse
 //! grid otherwise, so clusters never stall each other at fine boundaries;
 //! the cadence follows from the decomposition, never from a knob.
-//! Packet-log mutations are buffered as timestamped ops and replayed in
-//! one canonical order at the end of the run.
+//! Packet-log events are buffered with their timestamps and applied in
+//! one canonical order at the end of the run; the efficiency ledgers are
+//! plain counters, summed across shards and applied once as totals.
 //!
 //! Because every cross-lane channel is mediated this way **even when both
 //! lanes share a shard**, the outcome is a pure function of
@@ -67,7 +68,7 @@ use vifi_sim::{
     BoundaryWalk, HierarchicalSchedule, NestedEpochBarrier, Rng, Scheduler, SimTime, TimerToken,
 };
 
-use crate::logging::{LogSink, RunLog};
+use crate::logging::{LedgerTotals, LogEvent, LogSink, RunLog};
 use crate::sim::{FaultStats, RunConfig, RunOutcome, VehicleOutcome};
 use crate::workload::{build_driver, Driver, HostApi, HostCmd};
 
@@ -128,56 +129,17 @@ struct NodeCell {
     carried_evictions: u64,
 }
 
-/// A buffered packet-log mutation, replayed in `(at, lane, seq)` order at
-/// the end of the run — the canonical order every partition produces.
+/// A buffered packet-log event, applied in `(at, lane, seq)` order at the
+/// end of the run — the canonical order every partition produces.
 struct LogOp {
     at: SimTime,
     lane: u64,
     seq: u64,
-    op: LogOpKind,
+    ev: LogEvent,
 }
 
-enum LogOpKind {
-    SourceTx {
-        id: PacketId,
-        dir: Direction,
-        aux_set: Vec<NodeId>,
-        aux_heard: Vec<NodeId>,
-        dst_heard: bool,
-    },
-    AckHeard {
-        id: PacketId,
-        heard_by: Vec<NodeId>,
-        dir: Direction,
-    },
-    Relay {
-        id: PacketId,
-        by: NodeId,
-        via_backplane: bool,
-        reached: bool,
-    },
-    Decision {
-        id: PacketId,
-        aux: NodeId,
-        prob: f64,
-        relayed: bool,
-    },
-    Delivered {
-        id: PacketId,
-        dir: Direction,
-    },
-    WirelessTx {
-        dir: Direction,
-    },
-    BackplaneTx,
-    BackplaneDrop {
-        relay: Option<(PacketId, NodeId)>,
-    },
-    AuxSample {
-        sec: u64,
-        size: usize,
-    },
-}
+// A long run buffers tens of thousands of these; keep them small.
+const _: () = assert!(std::mem::size_of::<LogOp>() <= 96);
 
 /// Sequence-number namespaces for coordinator-emitted ops, so they order
 /// deterministically against (and after) same-instant lane ops.
@@ -248,6 +210,9 @@ struct Shard {
     bp_sends: Vec<BpSend>,
     x_msgs: Vec<XMsg>,
     log_ops: Vec<LogOp>,
+    /// The instrumented vehicle's ledger increments on this shard's
+    /// lanes (summed across shards at the end, like `faults`).
+    ledger: LedgerTotals,
     salvaged: u64,
     /// Fault-degradation counters for events on this shard's own lanes
     /// (summed across shards at the end; each event belongs to exactly
@@ -386,10 +351,9 @@ pub(crate) struct EngineSetup {
     pub cfg: RunConfig,
     pub vehicles: Vec<NodeId>,
     pub bs_ids: Vec<NodeId>,
-    /// Builds one link-model instance; called once per shard plus once
-    /// per cluster. Instances built from the same config agree
-    /// link-for-link (per-link forked streams), which is what makes the
-    /// partition irrelevant.
+    /// Builds one link-model instance; called once per shard. Instances
+    /// built from the same config agree link-for-link (per-link forked
+    /// streams), which is what makes the partition irrelevant.
     pub link_factory: Box<dyn Fn() -> EngineLink>,
     /// The epoch schedule: one fine schedule per contact cluster.
     pub hierarchy: HierarchicalSchedule,
@@ -409,10 +373,10 @@ pub(crate) fn run(setup: EngineSetup) -> (RunOutcome, CoupledTiming) {
     Engine::build(setup).run()
 }
 
-/// One cluster's radio runtime: its own shared-medium service,
-/// link-model instance and aux snapshots. Clusters are radio-disjoint, so a
-/// cluster's barrier phases only ever touch its own `ClusterRt` — that is
-/// what lets clusters synchronize without stalling each other. Every
+/// One cluster's radio runtime: its own shared-medium service and aux
+/// snapshots. Clusters are radio-disjoint, so a cluster's barrier phases
+/// only ever touch its own `ClusterRt` — that is what lets clusters
+/// synchronize without stalling each other. Every
 /// cluster's medium forks its backoff streams from the same `"mac"` root
 /// (per-node streams are keyed by node label, so the split changes
 /// nothing), and handles are namespaced per cluster via
@@ -420,7 +384,6 @@ pub(crate) fn run(setup: EngineSetup) -> (RunOutcome, CoupledTiming) {
 /// unique.
 struct ClusterRt {
     medium: SharedMediumService<WireFrame>,
-    link: EngineLink,
     /// Aux-set snapshots of the instrumented vehicle's source data
     /// frames, from placement to resolution.
     aux: HashMap<TxHandle, Vec<NodeId>>,
@@ -429,9 +392,12 @@ struct ClusterRt {
 /// Globally shared state: the backplane and the run's log.
 struct Coordinator {
     backplane: Backplane,
-    /// Buffered log ops, replayed in canonical order at the end of the
+    /// Buffered log ops, applied in canonical order at the end of the
     /// run.
     log_ops: Vec<LogOp>,
+    /// Ledger increments counted at barriers: wireless data and ACK
+    /// frames, backplane drops.
+    ledger: LedgerTotals,
     serial_wall: Duration,
     /// Monotone namespace counter for coordinator-emitted drop ops.
     drop_seq: u64,
@@ -548,7 +514,6 @@ impl Engine {
                 Mutex::new(ClusterRt {
                     medium: SharedMediumService::new(cfg.mac, &rng.fork_named("mac"))
                         .with_handle_base((c as u64) << 48),
-                    link: link_factory(),
                     aux: HashMap::new(),
                 })
             })
@@ -608,6 +573,7 @@ impl Engine {
                 bp_sends: Vec::new(),
                 x_msgs: Vec::new(),
                 log_ops: Vec::new(),
+                ledger: LedgerTotals::default(),
                 salvaged: 0,
                 faults: FaultStats::default(),
                 wall: Duration::ZERO,
@@ -621,6 +587,7 @@ impl Engine {
         let coord = Coordinator {
             backplane: Backplane::new(cfg.backplane),
             log_ops: Vec::new(),
+            ledger: LedgerTotals::default(),
             serial_wall: Duration::ZERO,
             drop_seq: 0,
             fault_rng: rng.fork_named("fault-bp"),
@@ -1021,13 +988,12 @@ impl Engine {
         let mut placed = std::mem::take(&mut *sg.placed.lock().expect("placed"));
         placed.sort_by_key(|(i, _)| *i);
         let mut placed = placed.into_iter().map(|(_, g)| g);
-        let at = scratch.at;
         scratch.jobs.clear();
         for b in &mut scratch.batches {
             let groups: Vec<PlacedGroup<WireFrame>> = placed.by_ref().take(b.jobs.len()).collect();
             let mut rt = self.clusters[b.cluster].lock().expect("cluster rt");
-            let ClusterRt { medium, link, aux } = &mut *rt;
-            let placements = medium.merge_placed(groups, at, link.as_ref());
+            let ClusterRt { medium, aux } = &mut *rt;
+            let placements = medium.merge_placed(groups);
             b.placements = b
                 .senders
                 .iter()
@@ -1109,13 +1075,7 @@ impl Engine {
                 let mut rx_ids = heard.remove(&tx.handle).unwrap_or_default();
                 rx_ids.sort_by_key(|n| n.index());
                 let aux_set = rt.aux.remove(&tx.handle);
-                self.emit_frame_ops(
-                    &mut coord.log_ops,
-                    tx,
-                    &rx_ids,
-                    aux_set,
-                    SEQ_RESOLUTION + i as u64,
-                );
+                self.emit_frame_ops(&mut coord, tx, &rx_ids, aux_set, SEQ_RESOLUTION + i as u64);
             }
             drop((rt, coord));
             let c = b.cluster;
@@ -1125,33 +1085,28 @@ impl Engine {
     }
 
     /// The per-frame instrumentation the per-event loop did in
-    /// `on_tx_done`, emitted as canonical log ops at `(end, tx lane)`.
+    /// `on_tx_done`: the instrumented vehicle's wireless data and ACK
+    /// frames bump the coordinator's ledger and log a canonical event at
+    /// `(end, tx lane)`.
     fn emit_frame_ops(
         &self,
-        ops: &mut Vec<LogOp>,
+        coord: &mut Coordinator,
         tx: &ResolvableTx<WireFrame>,
         rx_ids: &[NodeId],
         aux_set: Option<Vec<NodeId>>,
         seq: u64,
     ) {
-        let lane = tx.frame.src.label();
-        let at = tx.end;
         // The frame stays packed: the fixed-offset views read the handful
         // of header fields instrumentation needs without decoding the
         // payload (beacons and other vehicles' data fall through).
-        if let Some(d) = DataView::of(&tx.frame.payload) {
+        let ev = if let Some(d) = DataView::of(&tx.frame.payload) {
             if self.flow_vehicle(d.flow_src(), d.flow_dst()) != self.v0 {
                 return;
             }
             let dir = self.dir_of_src(d.flow_src());
-            ops.push(LogOp {
-                at,
-                lane,
-                seq,
-                op: LogOpKind::WirelessTx { dir },
-            });
-            let op = if let Some(relayer) = d.relayed_by() {
-                LogOpKind::Relay {
+            coord.ledger.ledger_mut(dir).on_wireless_tx();
+            if let Some(relayer) = d.relayed_by() {
+                LogEvent::Relay {
                     id: d.id(),
                     by: relayer,
                     via_backplane: false,
@@ -1164,15 +1119,14 @@ impl Engine {
                     .copied()
                     .filter(|n| aux_set.contains(n))
                     .collect();
-                LogOpKind::SourceTx {
+                LogEvent::SourceTx {
                     id: d.id(),
                     dir,
                     dst_heard: rx_ids.contains(&d.flow_dst()),
                     aux_set,
                     aux_heard,
                 }
-            };
-            ops.push(LogOp { at, lane, seq, op });
+            }
         } else if let Some(a) = AckView::of(&tx.frame.payload) {
             let id = a.id();
             let veh = if self.is_bs(id.origin) {
@@ -1180,19 +1134,26 @@ impl Engine {
             } else {
                 id.origin
             };
-            if veh == self.v0 {
-                ops.push(LogOp {
-                    at,
-                    lane,
-                    seq,
-                    op: LogOpKind::AckHeard {
-                        id,
-                        heard_by: rx_ids.to_vec(),
-                        dir: self.dir_of_src(id.origin),
-                    },
-                });
+            if veh != self.v0 {
+                return;
             }
-        }
+            coord
+                .ledger
+                .ledger_mut(self.dir_of_src(id.origin))
+                .on_ack_tx();
+            LogEvent::AckAttach {
+                id,
+                heard_by: rx_ids.to_vec(),
+            }
+        } else {
+            return;
+        };
+        coord.log_ops.push(LogOp {
+            at: tx.end,
+            lane: tx.frame.src.label(),
+            seq,
+            ev,
+        });
     }
 
     /// Phase 8, rendezvous stops only: drain every shard's backplane
@@ -1436,7 +1397,7 @@ impl Engine {
                             sh,
                             lane,
                             now,
-                            LogOpKind::Relay {
+                            LogEvent::Relay {
                                 id: d.id,
                                 by: from,
                                 via_backplane: true,
@@ -1530,7 +1491,7 @@ impl Engine {
                             sh,
                             lane,
                             now,
-                            LogOpKind::AuxSample {
+                            LogEvent::AuxSample {
                                 sec: now.second_bin(),
                                 size,
                             },
@@ -1605,7 +1566,7 @@ impl Engine {
                     let bytes = msg.wire_bytes();
                     if let BackplaneMsg::RelayData(d) = &msg {
                         if self.flow_vehicle(d.flow_src, d.flow_dst) == self.v0 {
-                            self.log_op(sh, lane, now, LogOpKind::BackplaneTx);
+                            sh.ledger.up.on_backplane_tx();
                         }
                     }
                     let lane_seq = self.next_emit_seq(sh, lane);
@@ -1636,7 +1597,7 @@ impl Engine {
         match dir {
             Direction::Downstream => {
                 if lane == self.v0 {
-                    self.log_op(sh, lane, now, LogOpKind::Delivered { id, dir });
+                    self.log_delivery(sh, lane, id, dir, now);
                 }
                 self.with_driver(sh, lane, now, |d, api| d.on_vehicle_rx(&app, api));
             }
@@ -1644,7 +1605,7 @@ impl Engine {
                 // At the anchor: forward over the wired hop toward the
                 // originating vehicle's Internet peer.
                 if id.origin == self.v0 {
-                    self.log_op(sh, lane, now, LogOpKind::Delivered { id, dir });
+                    self.log_delivery(sh, lane, id, dir, now);
                 }
                 let lane_seq = self.next_emit_seq(sh, lane);
                 sh.x_msgs.push(XMsg::WiredUp {
@@ -1673,7 +1634,7 @@ impl Engine {
                     sh,
                     lane,
                     now,
-                    LogOpKind::Decision {
+                    LogEvent::Decision {
                         id,
                         aux: lane,
                         prob,
@@ -1766,9 +1727,9 @@ impl Engine {
         self.log_bp_drop(coord, &send);
     }
 
-    /// Account a finally-dropped backplane message in the packet log —
-    /// scoped to the instrumented vehicle's traffic, like the per-event
-    /// loop's capacity accounting.
+    /// Account a finally-dropped backplane message — scoped to the
+    /// instrumented vehicle's traffic, like the per-event loop's capacity
+    /// accounting. A dropped relay also logs its failed fate.
     fn log_bp_drop(&self, coord: &mut Coordinator, send: &BpSend) {
         let veh = match &send.msg {
             BackplaneMsg::RelayData(d) => self.flow_vehicle(d.flow_src, d.flow_dst),
@@ -1778,18 +1739,21 @@ impl Engine {
         if veh != self.v0 {
             return;
         }
-        let relay = match &send.msg {
-            BackplaneMsg::RelayData(d) => Some((d.id, send.from)),
-            _ => None,
-        };
-        coord.drop_seq += 1;
-        let seq = SEQ_BARRIER + coord.drop_seq;
-        coord.log_ops.push(LogOp {
-            at: send.t,
-            lane: send.from.label(),
-            seq,
-            op: LogOpKind::BackplaneDrop { relay },
-        });
+        coord.ledger.backplane_drops += 1;
+        if let BackplaneMsg::RelayData(d) = &send.msg {
+            coord.drop_seq += 1;
+            coord.log_ops.push(LogOp {
+                at: send.t,
+                lane: send.from.label(),
+                seq: SEQ_BARRIER + coord.drop_seq,
+                ev: LogEvent::Relay {
+                    id: d.id,
+                    by: send.from,
+                    via_backplane: true,
+                    reached: false,
+                },
+            });
+        }
     }
 
     fn next_emit_seq(&self, sh: &mut Shard, lane: NodeId) -> u64 {
@@ -1798,14 +1762,28 @@ impl Engine {
         cell.emit_seq
     }
 
-    fn log_op(&self, sh: &mut Shard, lane: NodeId, at: SimTime, op: LogOpKind) {
+    fn log_op(&self, sh: &mut Shard, lane: NodeId, at: SimTime, ev: LogEvent) {
         let seq = self.next_emit_seq(sh, lane);
         sh.log_ops.push(LogOp {
             at,
             lane: lane.label(),
             seq,
-            op,
+            ev,
         });
+    }
+
+    /// An application-level delivery of the instrumented vehicle's
+    /// packet `id`: marks its records and counts in `dir`'s ledger.
+    fn log_delivery(
+        &self,
+        sh: &mut Shard,
+        lane: NodeId,
+        id: PacketId,
+        dir: Direction,
+        at: SimTime,
+    ) {
+        self.log_op(sh, lane, at, LogEvent::DeliverMark { id });
+        sh.ledger.ledger_mut(dir).on_delivered();
     }
 
     fn is_bs(&self, n: NodeId) -> bool {
@@ -1862,18 +1840,22 @@ impl Engine {
         }
         assert!(!vehicles_out.is_empty(), "at least one workload vehicle");
 
-        // Replay the buffered log ops in canonical order: the partition-
+        // Apply the buffered log events in canonical order: the partition-
         // blind `(at, lane, seq)` key interleaves every source, so the
         // order ops were gathered in never matters. Lane ops logged after
-        // their cluster's last barrier are still in the shards.
+        // their cluster's last barrier are still in the shards. The ledger
+        // totals follow, summed over shards like the fault counters.
+        let mut ledger = coord.ledger;
         for sh in &mut shards {
             coord.log_ops.append(&mut sh.log_ops);
+            ledger.absorb(&sh.ledger);
         }
         coord.log_ops.sort_by_key(|o| (o.at, o.lane, o.seq));
         let mut log = RunLog::new();
-        for op in &coord.log_ops {
-            apply_log_op(&mut log, op);
+        for op in coord.log_ops {
+            log.apply(op.at, op.ev);
         }
+        log.apply(SimTime::ZERO, LogEvent::LedgerTotals(Box::new(ledger)));
 
         let events: u64 = shards.iter().map(|s| s.sched.dispatched()).sum();
         let salvaged: u64 = shards.iter().map(|s| s.salvaged).sum();
@@ -2011,56 +1993,4 @@ fn pack_supergroups(
         })
         .collect();
     (supergroups, sg_of)
-}
-
-/// Apply one canonical log op through the [`LogSink`] event surface —
-/// the same calls a streaming [`crate::binlog::BinaryRunLog`] would see,
-/// so any sink observes the identical event sequence the in-memory
-/// [`RunLog`] folds.
-fn apply_log_op<S: LogSink>(log: &mut S, op: &LogOp) {
-    match &op.op {
-        LogOpKind::SourceTx {
-            id,
-            dir,
-            aux_set,
-            aux_heard,
-            dst_heard,
-        } => log.source_tx(
-            op.at,
-            *id,
-            *dir,
-            aux_set.clone(),
-            aux_heard.clone(),
-            *dst_heard,
-        ),
-        LogOpKind::AckHeard { id, heard_by, dir } => {
-            log.ack_attach(op.at, *id, heard_by);
-            log.ack_tx(op.at, *dir);
-        }
-        LogOpKind::Relay {
-            id,
-            by,
-            via_backplane,
-            reached,
-        } => log.relay(op.at, *id, *by, *via_backplane, *reached),
-        LogOpKind::Decision {
-            id,
-            aux,
-            prob,
-            relayed,
-        } => log.decision(op.at, *id, *aux, *prob, *relayed),
-        LogOpKind::Delivered { id, dir } => {
-            log.deliver_mark(op.at, *id);
-            log.ledger_delivered(op.at, *dir);
-        }
-        LogOpKind::WirelessTx { dir } => log.wireless_tx(op.at, *dir),
-        LogOpKind::BackplaneTx => log.backplane_tx(op.at),
-        LogOpKind::BackplaneDrop { relay } => {
-            log.backplane_drop_count(op.at);
-            if let Some((id, by)) = relay {
-                log.relay(op.at, *id, *by, true, false);
-            }
-        }
-        LogOpKind::AuxSample { sec, size } => log.aux_sample(op.at, *sec, *size),
-    }
 }

@@ -93,10 +93,13 @@ pub mod logging;
 pub mod sim;
 pub mod workload;
 
-pub use binlog::{read_stream, BinaryRunLog, StreamFold, StreamSummary};
+pub use binlog::{read_stream, BinaryRunLog};
 pub use engine::CoupledTiming;
 pub use fingerprint::{Fingerprint, Fingerprintable};
-pub use logging::{LogSink, PerfectRelayOutcome, RunLog, Table1, Table2Row};
+pub use logging::{
+    LedgerTotals, LogEvent, LogSink, PerfectRelayOutcome, RunLog, StreamFold, StreamSummary,
+    Table1, Table2Row,
+};
 pub use sim::{
     plan_shards, FaultStats, RunConfig, RunOutcome, ShardAssignment, ShardMode, ShardPlan,
     Simulation, VehicleOutcome,

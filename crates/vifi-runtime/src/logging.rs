@@ -1,17 +1,34 @@
 //! Packet-level run logs and the paper's derived statistics.
 //!
-//! The runtime records one [`TxRecord`] per *source transmission* (a data
-//! frame with `relayed_by == None`), then attaches to it: which
-//! auxiliaries heard it, whether the destination heard it, who heard the
-//! destination's ACK, every auxiliary's relay decision, and each relay's
-//! fate. Everything the paper derives from its packet logs comes from
-//! these records:
+//! The runtime describes the instrumented vehicle's packets as a stream
+//! of [`LogEvent`]s handed to a [`LogSink`]. A *source transmission* (a
+//! data frame with `relayed_by == None`) opens one [`TxRecord`]; later
+//! events attach to the latest record of the same packet id — which
+//! auxiliaries heard an ACK, every auxiliary's relay decision, each
+//! relay's fate — and a delivery mark flags every record of the id. The
+//! efficiency accounting arrives once, as [`LedgerTotals`].
 //!
-//! * **Table 1** (rows A1–C4) — [`Table1::from_log`];
+//! Two sinks derive everything the paper reads off its packet logs:
+//!
+//! * [`RunLog`] keeps every record in memory;
+//! * [`StreamFold`] finalizes each record as soon as no later event can
+//!   change it and keeps only packets in flight, so its working set is
+//!   bounded by those, not by run length
+//!   ([`StreamSummary::peak_pending`]).
+//!
+//! Both open and attach records through the rules on [`TxRecord`] and
+//! fold finalized records through one accumulator, so they agree by
+//! construction on:
+//!
+//! * **Table 1** (rows A1–C4) — [`Table1::from_log`],
+//!   [`StreamSummary::table1`];
 //! * **Table 2** (false positives/negatives per coordination scheme) —
 //!   [`Table2Row::from_log`];
 //! * **Fig. 12** (medium-use efficiency incl. the PerfectRelay oracle) —
-//!   [`RunLog::efficiency`] and [`PerfectRelayOutcome::from_log`].
+//!   [`RunLog::efficiency`] and [`PerfectRelayOutcome::from_log`];
+//! * the run-log fingerprint — [`Fingerprintable`] and
+//!   [`StreamSummary::fingerprint`]. It combines per-record digests by
+//!   wrapping addition, so records may be finalized in any order.
 
 use std::collections::HashMap;
 
@@ -21,6 +38,115 @@ use vifi_phy::NodeId;
 use vifi_sim::SimTime;
 
 use crate::fingerprint::{Fingerprint, Fingerprintable};
+
+/// One packet-log event. Each variant is one record kind of the binary
+/// trace (see [`crate::binlog`]).
+#[derive(Clone, Debug)]
+pub enum LogEvent {
+    /// A source transmission of `id`: opens a new record.
+    SourceTx {
+        /// Packet identity.
+        id: PacketId,
+        /// Direction.
+        dir: Direction,
+        /// The auxiliary set announced by the vehicle at transmission time.
+        aux_set: Vec<NodeId>,
+        /// Auxiliaries (members of `aux_set`) that received it.
+        aux_heard: Vec<NodeId>,
+        /// Whether the flow destination received it.
+        dst_heard: bool,
+    },
+    /// Nodes that heard an ACK for `id`.
+    AckAttach {
+        /// Packet identity.
+        id: PacketId,
+        /// Every node that heard the ACK.
+        heard_by: Vec<NodeId>,
+    },
+    /// An auxiliary's relay decision for `id`.
+    Decision {
+        /// Packet identity.
+        id: PacketId,
+        /// The deciding auxiliary.
+        aux: NodeId,
+        /// Its relay probability.
+        prob: f64,
+        /// Whether it relayed.
+        relayed: bool,
+    },
+    /// The fate of a performed relay of `id`.
+    Relay {
+        /// Packet identity.
+        id: PacketId,
+        /// The relaying auxiliary.
+        by: NodeId,
+        /// Whether the relay rode the backplane.
+        via_backplane: bool,
+        /// Whether the relayed copy reached the flow destination.
+        reached: bool,
+    },
+    /// Application-level delivery of `id`: marks every record of the id.
+    DeliverMark {
+        /// Packet identity.
+        id: PacketId,
+    },
+    /// The vehicle's aux-set size at second `sec` (Table 1 row A1).
+    AuxSample {
+        /// The sampled second.
+        sec: u64,
+        /// Aux-set size.
+        size: usize,
+    },
+    /// No further event references `id` (advisory: lets a streaming sink
+    /// finalize and drop the id's records).
+    Retire {
+        /// Packet identity.
+        id: PacketId,
+    },
+    /// The run's efficiency accounting, added at once.
+    LedgerTotals(Box<LedgerTotals>),
+}
+
+/// A consumer of packet-log events.
+///
+/// The engine buffers the events of a run and applies them in canonical
+/// `(time, lane, seq)` order at its end, followed by one
+/// [`LogEvent::LedgerTotals`]. [`RunLog`] keeps the records,
+/// [`StreamFold`] folds them into the statistics, and
+/// [`BinaryRunLog`](crate::binlog::BinaryRunLog) serializes them.
+pub trait LogSink {
+    /// Consume one event stamped `at`.
+    fn apply(&mut self, at: SimTime, ev: LogEvent);
+}
+
+/// A run's efficiency accounting: one ledger per direction plus the
+/// backplane messages dropped.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LedgerTotals {
+    /// Upstream ledger.
+    pub up: EfficiencyLedger,
+    /// Downstream ledger.
+    pub down: EfficiencyLedger,
+    /// Backplane messages dropped for good (capacity or faults).
+    pub backplane_drops: u64,
+}
+
+impl LedgerTotals {
+    /// The ledger of `dir`.
+    pub(crate) fn ledger_mut(&mut self, dir: Direction) -> &mut EfficiencyLedger {
+        match dir {
+            Direction::Upstream => &mut self.up,
+            Direction::Downstream => &mut self.down,
+        }
+    }
+
+    /// Add `other` into these totals.
+    pub(crate) fn absorb(&mut self, other: &LedgerTotals) {
+        self.up.merge(&other.up);
+        self.down.merge(&other.down);
+        self.backplane_drops += other.backplane_drops;
+    }
+}
 
 /// The fate of one relay of one packet.
 #[derive(Clone, Debug)]
@@ -62,6 +188,65 @@ pub struct TxRecord {
     pub delivered: bool,
 }
 
+impl TxRecord {
+    /// Open the record of a [`LogEvent::SourceTx`]. `earlier` counts the
+    /// id's earlier source transmissions: it is the attempt number.
+    fn open(at: SimTime, earlier: u32, ev: LogEvent) -> TxRecord {
+        let LogEvent::SourceTx {
+            id,
+            dir,
+            aux_set,
+            aux_heard,
+            dst_heard,
+        } = ev
+        else {
+            unreachable!("only a source transmission opens a record");
+        };
+        TxRecord {
+            id,
+            attempt: earlier,
+            dir,
+            at,
+            aux_set,
+            aux_heard,
+            dst_heard,
+            ack_heard_by: Vec::new(),
+            decisions: Vec::new(),
+            relays: Vec::new(),
+            delivered: false,
+        }
+    }
+
+    /// Attach an ACK, decision or relay event to this record, the latest
+    /// of its id. ACK hearers join in `heard_by` order, each once, and
+    /// only if they are in the aux set.
+    fn attach(&mut self, ev: LogEvent) {
+        match ev {
+            LogEvent::AckAttach { heard_by, .. } => {
+                for n in heard_by {
+                    if self.aux_set.contains(&n) && !self.ack_heard_by.contains(&n) {
+                        self.ack_heard_by.push(n);
+                    }
+                }
+            }
+            LogEvent::Decision {
+                aux, prob, relayed, ..
+            } => self.decisions.push((aux, prob, relayed)),
+            LogEvent::Relay {
+                by,
+                via_backplane,
+                reached,
+                ..
+            } => self.relays.push(RelayFate {
+                by,
+                via_backplane,
+                reached_dst: reached,
+            }),
+            _ => unreachable!("only ACK, decision and relay events attach"),
+        }
+    }
+}
+
 /// The full log of a run.
 #[derive(Default)]
 pub struct RunLog {
@@ -87,108 +272,6 @@ impl RunLog {
         Self::default()
     }
 
-    /// Record a source transmission.
-    pub fn on_source_tx(
-        &mut self,
-        id: PacketId,
-        dir: Direction,
-        at: SimTime,
-        aux_set: Vec<NodeId>,
-        aux_heard: Vec<NodeId>,
-        dst_heard: bool,
-    ) {
-        let indices = self.by_id.entry(id).or_default();
-        let attempt = indices
-            .last()
-            .map(|&i| self.records[i].attempt + 1)
-            .unwrap_or(0);
-        let rec = TxRecord {
-            id,
-            attempt,
-            dir,
-            at,
-            aux_set,
-            aux_heard,
-            dst_heard,
-            ack_heard_by: Vec::new(),
-            decisions: Vec::new(),
-            relays: Vec::new(),
-            delivered: false,
-        };
-        indices.push(self.records.len());
-        self.records.push(rec);
-    }
-
-    fn latest_mut(&mut self, id: PacketId) -> Option<&mut TxRecord> {
-        let &i = self.by_id.get(&id)?.last()?;
-        self.records.get_mut(i)
-    }
-
-    /// Record which auxiliaries heard an ACK for `id`.
-    pub fn on_ack_heard(&mut self, id: PacketId, heard_by: &[NodeId]) {
-        if let Some(r) = self.latest_mut(id) {
-            // Small batches keep the branch-free linear scan; large ones
-            // would go quadratic in `contains` checks, so membership is
-            // resolved through a sorted copy of the (immutable) aux set
-            // plus a hash set of already-attached auxiliaries. Both paths
-            // push in `heard_by` order, so output is bit-identical.
-            if r.aux_set.len() * heard_by.len() <= 64 {
-                for n in heard_by {
-                    if r.aux_set.contains(n) && !r.ack_heard_by.contains(n) {
-                        r.ack_heard_by.push(*n);
-                    }
-                }
-            } else {
-                let mut aux_sorted = r.aux_set.clone();
-                aux_sorted.sort_unstable();
-                let mut attached: std::collections::HashSet<NodeId> =
-                    r.ack_heard_by.iter().copied().collect();
-                for n in heard_by {
-                    if aux_sorted.binary_search(n).is_ok() && attached.insert(*n) {
-                        r.ack_heard_by.push(*n);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Record an auxiliary's relay decision.
-    pub fn on_decision(&mut self, id: PacketId, aux: NodeId, prob: f64, relayed: bool) {
-        if let Some(r) = self.latest_mut(id) {
-            r.decisions.push((aux, prob, relayed));
-        }
-    }
-
-    /// Record the fate of a performed relay.
-    pub fn on_relay(&mut self, id: PacketId, by: NodeId, via_backplane: bool, reached: bool) {
-        if let Some(r) = self.latest_mut(id) {
-            r.relays.push(RelayFate {
-                by,
-                via_backplane,
-                reached_dst: reached,
-            });
-        }
-    }
-
-    /// Record an application-level delivery of `id` at the destination.
-    pub fn on_delivered(&mut self, id: PacketId) {
-        // Mark every transmission of this id (delivery is per packet) —
-        // O(attempts of the id) via the per-id index list, not a scan of
-        // the whole log.
-        if let Some(indices) = self.by_id.get(&id) {
-            for &i in indices {
-                self.records[i].delivered = true;
-            }
-        }
-    }
-
-    /// Record the vehicle's aux-set size at a 1-second sample point.
-    pub fn on_aux_sample(&mut self, sec: u64, size: usize) {
-        if self.aux_sizes.last().map(|&(s, _)| s) != Some(sec) {
-            self.aux_sizes.push((sec, size));
-        }
-    }
-
     /// The efficiency ledger for a direction.
     pub fn efficiency(&self, dir: Direction) -> &EfficiencyLedger {
         match dir {
@@ -197,18 +280,7 @@ impl RunLog {
         }
     }
 
-    fn dir_records(&self, dir: Direction) -> impl Iterator<Item = &TxRecord> {
-        self.records.iter().filter(move |r| r.dir == dir)
-    }
-
-    fn ledger_mut(&mut self, dir: Direction) -> &mut EfficiencyLedger {
-        match dir {
-            Direction::Upstream => &mut self.ledger_up,
-            Direction::Downstream => &mut self.ledger_down,
-        }
-    }
-
-    /// Replay this (finished) log as a stream of [`LogSink`] events, in
+    /// Replay this (finished) log as a stream of [`LogEvent`]s, in
     /// record-creation order.
     ///
     /// Feeding the events back into a fresh `RunLog` reproduces this log
@@ -218,187 +290,306 @@ impl RunLog {
     /// record (stamped with the record's transmission time); the delivery
     /// mark for an id is emitted after the last record of the id the live
     /// run marked — delivered flags are prefix-true per id, so one mark
-    /// lands on exactly the same records. [`LogSink::retire`] follows the
+    /// lands on exactly the same records. [`LogEvent::Retire`] follows the
     /// final record of each id so streaming consumers can drop per-id
-    /// state, and ledgers arrive once, additively, at the end.
+    /// state, and the ledgers arrive once, at the end, stamped at time
+    /// zero.
     pub fn replay_into<S: LogSink>(&self, sink: &mut S) {
         for (i, r) in self.records.iter().enumerate() {
-            sink.source_tx(
-                r.at,
-                r.id,
-                r.dir,
-                r.aux_set.clone(),
-                r.aux_heard.clone(),
-                r.dst_heard,
+            let (at, id) = (r.at, r.id);
+            sink.apply(
+                at,
+                LogEvent::SourceTx {
+                    id,
+                    dir: r.dir,
+                    aux_set: r.aux_set.clone(),
+                    aux_heard: r.aux_heard.clone(),
+                    dst_heard: r.dst_heard,
+                },
             );
             if !r.ack_heard_by.is_empty() {
-                sink.ack_attach(r.at, r.id, &r.ack_heard_by);
+                let heard_by = r.ack_heard_by.clone();
+                sink.apply(at, LogEvent::AckAttach { id, heard_by });
             }
             for &(aux, prob, relayed) in &r.decisions {
-                sink.decision(r.at, r.id, aux, prob, relayed);
+                sink.apply(
+                    at,
+                    LogEvent::Decision {
+                        id,
+                        aux,
+                        prob,
+                        relayed,
+                    },
+                );
             }
             for f in &r.relays {
-                sink.relay(r.at, r.id, f.by, f.via_backplane, f.reached_dst);
+                sink.apply(
+                    at,
+                    LogEvent::Relay {
+                        id,
+                        by: f.by,
+                        via_backplane: f.via_backplane,
+                        reached: f.reached_dst,
+                    },
+                );
             }
-            let indices = &self.by_id[&r.id];
+            let indices = &self.by_id[&id];
             let pos = indices
                 .binary_search(&i)
                 .expect("per-id index list covers every record");
             let last_of_id = pos + 1 == indices.len();
             let next_delivered = !last_of_id && self.records[indices[pos + 1]].delivered;
             if r.delivered && !next_delivered {
-                sink.deliver_mark(r.at, r.id);
+                sink.apply(at, LogEvent::DeliverMark { id });
             }
             if last_of_id {
-                sink.retire(r.at, r.id);
+                sink.apply(at, LogEvent::Retire { id });
             }
         }
         for &(sec, size) in &self.aux_sizes {
-            sink.aux_sample(SimTime::from_millis(sec * 1000), sec, size);
+            sink.apply(
+                SimTime::from_millis(sec * 1000),
+                LogEvent::AuxSample { sec, size },
+            );
         }
-        sink.ledger_totals(
-            [
-                self.ledger_up.wireless_tx,
-                self.ledger_up.backplane_tx,
-                self.ledger_up.ack_tx,
-                self.ledger_up.delivered,
-            ],
-            [
-                self.ledger_down.wireless_tx,
-                self.ledger_down.backplane_tx,
-                self.ledger_down.ack_tx,
-                self.ledger_down.delivered,
-            ],
-            self.backplane_drops,
-        );
+        let totals = LedgerTotals {
+            up: self.ledger_up,
+            down: self.ledger_down,
+            backplane_drops: self.backplane_drops,
+        };
+        sink.apply(SimTime::ZERO, LogEvent::LedgerTotals(Box::new(totals)));
     }
-}
 
-/// A consumer of the runtime's logging events.
-///
-/// The coupled engine buffers per-shard log operations and applies them in
-/// canonical `(time, lane, seq)` order at run end; this trait is the
-/// surface it applies them *to*. [`RunLog`] implements it by mutating its
-/// in-memory records, [`BinaryRunLog`](crate::binlog::BinaryRunLog) by
-/// appending length-prefixed binary records to a byte stream — same event
-/// sequence, constant memory.
-///
-/// Record events (`source_tx` … `deliver_mark`) carry packet semantics;
-/// ledger events (`wireless_tx` … `backplane_drop_count`) are unit
-/// increments of the efficiency accounting; `ledger_totals` adds whole
-/// ledgers at once (used by trace replay instead of re-emitting every
-/// increment).
-pub trait LogSink {
-    /// A source transmission of `id` at `at`.
-    fn source_tx(
-        &mut self,
-        at: SimTime,
-        id: PacketId,
-        dir: Direction,
-        aux_set: Vec<NodeId>,
-        aux_heard: Vec<NodeId>,
-        dst_heard: bool,
-    );
-    /// Auxiliaries that heard an ACK for `id` (attaches to its latest
-    /// record, filtered to aux-set members).
-    fn ack_attach(&mut self, at: SimTime, id: PacketId, heard_by: &[NodeId]);
-    /// An auxiliary's relay decision for `id`.
-    fn decision(&mut self, at: SimTime, id: PacketId, aux: NodeId, prob: f64, relayed: bool);
-    /// The fate of a performed relay of `id`.
-    fn relay(&mut self, at: SimTime, id: PacketId, by: NodeId, via_backplane: bool, reached: bool);
-    /// Application-level delivery of `id` (marks every record of the id).
-    fn deliver_mark(&mut self, at: SimTime, id: PacketId);
-    /// Aux-set size sample at second `sec`.
-    fn aux_sample(&mut self, at: SimTime, sec: u64, size: usize);
-    /// One wireless data transmission in `dir`.
-    fn wireless_tx(&mut self, at: SimTime, dir: Direction);
-    /// One protocol ACK transmission in `dir`.
-    fn ack_tx(&mut self, at: SimTime, dir: Direction);
-    /// One backplane message (upstream relays ride the backplane).
-    fn backplane_tx(&mut self, at: SimTime);
-    /// One delivered packet counted in `dir`'s ledger.
-    fn ledger_delivered(&mut self, at: SimTime, dir: Direction);
-    /// One backplane message dropped by the capacity model.
-    fn backplane_drop_count(&mut self, at: SimTime);
-    /// No further events will reference `id` (advisory; lets streaming
-    /// consumers finalize and drop per-id state).
-    fn retire(&mut self, at: SimTime, id: PacketId) {
-        let _ = (at, id);
+    /// The streaming summary of this log, derived by the same
+    /// accumulator [`StreamFold`] uses. `peak_pending` is the record
+    /// count: an in-memory log holds every record at once.
+    pub fn stream_summary(&self) -> StreamSummary {
+        self.summary(&self.fold(), self.records.len())
     }
-    /// Add whole ledgers (`[wireless_tx, backplane_tx, ack_tx,
-    /// delivered]` per direction) and a backplane-drop total at once.
-    fn ledger_totals(&mut self, up: [u64; 4], down: [u64; 4], backplane_drops: u64);
+
+    /// Fold every record, in creation order.
+    fn fold(&self) -> RecordFold {
+        let mut fold = RecordFold::default();
+        let mut oracle_hits: HashMap<PacketId, bool> = HashMap::new();
+        for (i, r) in self.records.iter().enumerate() {
+            fold.add(i as u64, r, oracle_hits.entry(r.id).or_default());
+        }
+        fold
+    }
+
+    /// The summary of finalized records `fold` under this log's aux
+    /// samples, ledgers and drops.
+    fn summary(&self, fold: &RecordFold, peak_pending: usize) -> StreamSummary {
+        let table1 = fold.table1(&self.aux_sizes);
+        let mut fp = Fingerprint::new();
+        self.fingerprint_with(fold, &mut fp);
+        StreamSummary {
+            records: fold.records,
+            fingerprint: fp.finish(),
+            table2_false_positives: table1.down.b2_false_positive,
+            table2_false_negatives: table1.down.c3_false_negative,
+            table1,
+            perfect_relay: fold.oracle.into_outcome(),
+            ledger_up: self.ledger_up,
+            ledger_down: self.ledger_down,
+            backplane_drops: self.backplane_drops,
+            peak_pending,
+        }
+    }
+
+    /// The run-log fingerprint of finalized records `fold`: record
+    /// count, digest sum, then this log's aux samples in order, ledgers
+    /// and drops.
+    fn fingerprint_with(&self, fold: &RecordFold, fp: &mut Fingerprint) {
+        fp.push_len(fold.records as usize);
+        fp.push_u64(fold.digest_sum);
+        fp.push_len(self.aux_sizes.len());
+        for &(sec, size) in &self.aux_sizes {
+            fp.push_u64(sec);
+            fp.push_len(size);
+        }
+        for ledger in [&self.ledger_up, &self.ledger_down] {
+            fp.push_u64(ledger.wireless_tx);
+            fp.push_u64(ledger.backplane_tx);
+            fp.push_u64(ledger.ack_tx);
+            fp.push_u64(ledger.delivered);
+        }
+        fp.push_u64(self.backplane_drops);
+    }
 }
 
 impl LogSink for RunLog {
-    fn source_tx(
-        &mut self,
-        at: SimTime,
-        id: PacketId,
-        dir: Direction,
-        aux_set: Vec<NodeId>,
-        aux_heard: Vec<NodeId>,
-        dst_heard: bool,
-    ) {
-        self.on_source_tx(id, dir, at, aux_set, aux_heard, dst_heard);
-    }
-
-    fn ack_attach(&mut self, _at: SimTime, id: PacketId, heard_by: &[NodeId]) {
-        self.on_ack_heard(id, heard_by);
-    }
-
-    fn decision(&mut self, _at: SimTime, id: PacketId, aux: NodeId, prob: f64, relayed: bool) {
-        self.on_decision(id, aux, prob, relayed);
-    }
-
-    fn relay(
-        &mut self,
-        _at: SimTime,
-        id: PacketId,
-        by: NodeId,
-        via_backplane: bool,
-        reached: bool,
-    ) {
-        self.on_relay(id, by, via_backplane, reached);
-    }
-
-    fn deliver_mark(&mut self, _at: SimTime, id: PacketId) {
-        self.on_delivered(id);
-    }
-
-    fn aux_sample(&mut self, _at: SimTime, sec: u64, size: usize) {
-        self.on_aux_sample(sec, size);
-    }
-
-    fn wireless_tx(&mut self, _at: SimTime, dir: Direction) {
-        self.ledger_mut(dir).on_wireless_tx();
-    }
-
-    fn ack_tx(&mut self, _at: SimTime, dir: Direction) {
-        self.ledger_mut(dir).on_ack_tx();
-    }
-
-    fn backplane_tx(&mut self, _at: SimTime) {
-        self.ledger_up.on_backplane_tx();
-    }
-
-    fn ledger_delivered(&mut self, _at: SimTime, dir: Direction) {
-        self.ledger_mut(dir).on_delivered();
-    }
-
-    fn backplane_drop_count(&mut self, _at: SimTime) {
-        self.backplane_drops += 1;
-    }
-
-    fn ledger_totals(&mut self, up: [u64; 4], down: [u64; 4], backplane_drops: u64) {
-        for (ledger, t) in [(&mut self.ledger_up, up), (&mut self.ledger_down, down)] {
-            ledger.wireless_tx += t[0];
-            ledger.backplane_tx += t[1];
-            ledger.ack_tx += t[2];
-            ledger.delivered += t[3];
+    fn apply(&mut self, at: SimTime, ev: LogEvent) {
+        match ev {
+            LogEvent::SourceTx { id, .. } => {
+                let indices = self.by_id.entry(id).or_default();
+                let rec = TxRecord::open(at, indices.len() as u32, ev);
+                indices.push(self.records.len());
+                self.records.push(rec);
+            }
+            ev @ (LogEvent::AckAttach { id, .. }
+            | LogEvent::Decision { id, .. }
+            | LogEvent::Relay { id, .. }) => {
+                if let Some(&i) = self.by_id.get(&id).and_then(|ix| ix.last()) {
+                    self.records[i].attach(ev);
+                }
+            }
+            LogEvent::DeliverMark { id } => {
+                // O(attempts of the id) via the per-id index list.
+                for &i in self.by_id.get(&id).into_iter().flatten() {
+                    self.records[i].delivered = true;
+                }
+            }
+            LogEvent::AuxSample { sec, size } => {
+                if self.aux_sizes.last().map(|&(s, _)| s) != Some(sec) {
+                    self.aux_sizes.push((sec, size));
+                }
+            }
+            LogEvent::Retire { .. } => {}
+            LogEvent::LedgerTotals(t) => {
+                self.ledger_up.merge(&t.up);
+                self.ledger_down.merge(&t.down);
+                self.backplane_drops += t.backplane_drops;
+            }
         }
-        self.backplane_drops += backplane_drops;
     }
+}
+
+impl Fingerprintable for RunLog {
+    fn fingerprint_into(&self, fp: &mut Fingerprint) {
+        self.fingerprint_with(&self.fold(), fp);
+    }
+}
+
+/// Per-id working state of a [`StreamFold`].
+#[derive(Default)]
+struct IdState {
+    /// Records the id opened so far.
+    opened: u32,
+    /// Unfinalized records of this id, creation order, with their global
+    /// creation index.
+    pending: Vec<(u64, TxRecord)>,
+    /// The PerfectRelay oracle already delivered this id.
+    oracle_hit: bool,
+}
+
+/// A [`LogSink`] that folds the event stream straight into the derived
+/// statistics without materializing the record vector: a record is
+/// finalized at its id's [`LogEvent::Retire`], or earlier once a newer
+/// transmission of the id supersedes an already-delivered one.
+#[derive(Default)]
+pub struct StreamFold {
+    ids: HashMap<PacketId, IdState>,
+    /// Creation index of the next record.
+    next_index: u64,
+    /// The finalized records.
+    fold: RecordFold,
+    /// Aux samples, ledgers and drops, kept exactly as a [`RunLog`] keeps
+    /// them; its records stay empty.
+    run: RunLog,
+    pending_now: usize,
+    peak_pending: usize,
+}
+
+impl StreamFold {
+    /// Fresh fold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Finalize everything still pending (ids the stream never retired)
+    /// and produce the summary.
+    pub fn finish(mut self) -> StreamSummary {
+        for (_, state) in std::mem::take(&mut self.ids) {
+            self.retire(state);
+        }
+        self.run.summary(&self.fold, self.peak_pending)
+    }
+
+    fn retire(&mut self, mut state: IdState) {
+        self.pending_now -= state.pending.len();
+        for (index, rec) in &state.pending {
+            self.fold.add(*index, rec, &mut state.oracle_hit);
+        }
+    }
+}
+
+impl LogSink for StreamFold {
+    fn apply(&mut self, at: SimTime, ev: LogEvent) {
+        match ev {
+            LogEvent::SourceTx { id, .. } => {
+                let state = self.ids.entry(id).or_default();
+                // Delivered records never change again (the flag only
+                // goes false → true and attachments target the latest
+                // record), and a mark flags every pending record of the
+                // id, so they lead the pending list: finalize them now so
+                // long-lived ids do not pile up working state.
+                let done = state
+                    .pending
+                    .iter()
+                    .take_while(|(_, r)| r.delivered)
+                    .count();
+                for (index, rec) in state.pending.drain(..done) {
+                    self.fold.add(index, &rec, &mut state.oracle_hit);
+                }
+                let rec = TxRecord::open(at, state.opened, ev);
+                state.opened += 1;
+                state.pending.push((self.next_index, rec));
+                self.next_index += 1;
+                self.pending_now = self.pending_now + 1 - done;
+                self.peak_pending = self.peak_pending.max(self.pending_now);
+            }
+            ev @ (LogEvent::AckAttach { id, .. }
+            | LogEvent::Decision { id, .. }
+            | LogEvent::Relay { id, .. }) => {
+                if let Some((_, r)) = self.ids.get_mut(&id).and_then(|s| s.pending.last_mut()) {
+                    r.attach(ev);
+                }
+            }
+            LogEvent::DeliverMark { id } => {
+                if let Some(state) = self.ids.get_mut(&id) {
+                    for (_, r) in &mut state.pending {
+                        r.delivered = true;
+                    }
+                }
+            }
+            LogEvent::Retire { id } => {
+                if let Some(state) = self.ids.remove(&id) {
+                    self.retire(state);
+                }
+            }
+            ev @ (LogEvent::AuxSample { .. } | LogEvent::LedgerTotals(_)) => self.run.apply(at, ev),
+        }
+    }
+}
+
+/// Everything the streaming fold derives from a trace.
+#[derive(Clone, Debug)]
+pub struct StreamSummary {
+    /// Source-transmission records seen.
+    pub records: u64,
+    /// The run-log fingerprint — bit-identical to
+    /// [`RunLog::fingerprint`](crate::Fingerprintable::fingerprint) of
+    /// the equivalent in-memory log.
+    pub fingerprint: u64,
+    /// Table 1, both directions.
+    pub table1: Table1,
+    /// Table 2 downstream false-positive rate (B2).
+    pub table2_false_positives: f64,
+    /// Table 2 downstream false-negative rate (C3).
+    pub table2_false_negatives: f64,
+    /// The §5.4 PerfectRelay oracle estimate.
+    pub perfect_relay: PerfectRelayOutcome,
+    /// Upstream efficiency ledger.
+    pub ledger_up: EfficiencyLedger,
+    /// Downstream efficiency ledger.
+    pub ledger_down: EfficiencyLedger,
+    /// Backplane drops.
+    pub backplane_drops: u64,
+    /// High-water mark of simultaneously pending (unfinalized) records —
+    /// the fold's working set, bounded by packets in flight rather than
+    /// run length. [`RunLog::stream_summary`] reports its record count.
+    pub peak_pending: usize,
 }
 
 /// Digest of one finalized [`TxRecord`] at creation index `index`.
@@ -408,7 +599,7 @@ impl LogSink for RunLog {
 /// a streaming consumer may finalize records in whatever order their
 /// last mutation arrives and still reproduce the in-memory fingerprint
 /// bit-for-bit.
-pub fn record_digest(index: u64, r: &TxRecord) -> u64 {
+fn record_digest(index: u64, r: &TxRecord) -> u64 {
     let mut fp = Fingerprint::new();
     fp.push_u64(index);
     fp.push_u64(r.id.origin.label());
@@ -442,25 +633,43 @@ pub fn record_digest(index: u64, r: &TxRecord) -> u64 {
     fp.finish()
 }
 
-impl Fingerprintable for RunLog {
-    fn fingerprint_into(&self, fp: &mut Fingerprint) {
-        fp.push_len(self.records.len());
-        let sum = self.records.iter().enumerate().fold(0u64, |acc, (i, r)| {
-            acc.wrapping_add(record_digest(i as u64, r))
-        });
-        fp.push_u64(sum);
-        fp.push_len(self.aux_sizes.len());
-        for &(sec, size) in &self.aux_sizes {
-            fp.push_u64(sec);
-            fp.push_len(size);
+/// The one derivation of the paper's statistics from finalized records:
+/// the fingerprint's digest sum, the Table 1 counts of each direction and
+/// the PerfectRelay counts. Every ratio divides these integers once, so
+/// whichever sink fed the records, the results agree bit-for-bit.
+#[derive(Clone, Copy, Debug, Default)]
+struct RecordFold {
+    records: u64,
+    digest_sum: u64,
+    up: ColumnCounts,
+    down: ColumnCounts,
+    oracle: PerfectRelayCounts,
+}
+
+impl RecordFold {
+    /// Fold record `r`, created `index`-th, once no later event can change
+    /// it. The records of one id arrive in creation order with that id's
+    /// `oracle_hit` flag.
+    fn add(&mut self, index: u64, r: &TxRecord, oracle_hit: &mut bool) {
+        self.records += 1;
+        self.digest_sum = self.digest_sum.wrapping_add(record_digest(index, r));
+        match r.dir {
+            Direction::Upstream => self.up.add_record(r),
+            Direction::Downstream => self.down.add_record(r),
         }
-        for ledger in [&self.ledger_up, &self.ledger_down] {
-            fp.push_u64(ledger.wireless_tx);
-            fp.push_u64(ledger.backplane_tx);
-            fp.push_u64(ledger.ack_tx);
-            fp.push_u64(ledger.delivered);
+        self.oracle.add_record(r, oracle_hit);
+    }
+
+    /// Table 1 under the per-second aux samples `aux_sizes`.
+    fn table1(&self, aux_sizes: &[(u64, usize)]) -> Table1 {
+        // A1: the median aux-set size; the set belongs to the vehicle, so
+        // both directions share it.
+        let sizes: Vec<f64> = aux_sizes.iter().map(|&(_, s)| s as f64).collect();
+        let a1 = vifi_metrics::median(&sizes);
+        Table1 {
+            up: self.up.into_column(a1),
+            down: self.down.into_column(a1),
         }
-        fp.push_u64(self.backplane_drops);
     }
 }
 
@@ -502,42 +711,37 @@ pub struct Table1 {
     pub down: Table1Column,
 }
 
-/// Integer accumulators behind one [`Table1Column`].
-///
-/// Every Table 1 cell except A1 is a ratio of counts; keeping the counts
-/// explicit lets the in-memory path ([`Table1::from_log`]) and the
-/// streaming binary-trace fold (`binlog`) share the exact same arithmetic
-/// — the divisions happen once, in [`ColumnCounts::into_column`], so the
-/// two paths agree bit-for-bit.
+/// Integer accumulators behind one [`Table1Column`]: every cell except A1
+/// is a ratio of these counts.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ColumnCounts {
+struct ColumnCounts {
     /// Source transmissions.
-    pub n: u64,
+    n: u64,
     /// Σ auxiliaries hearing each transmission (A2 numerator).
-    pub aux_heard_sum: u64,
+    aux_heard_sum: u64,
     /// Σ auxiliaries hearing the transmission but not the ACK (A3).
-    pub aux_not_ack_sum: u64,
+    aux_not_ack_sum: u64,
     /// Transmissions that reached the destination (B1).
-    pub successes: u64,
+    successes: u64,
     /// Relays attached to successful transmissions (B2 numerator).
-    pub fp_relays: u64,
+    fp_relays: u64,
     /// Successful transmissions with ≥ 1 relay (B3 denominator).
-    pub fp_events: u64,
+    fp_events: u64,
     /// Transmissions that missed the destination (C1).
-    pub failures: u64,
+    failures: u64,
     /// Failures overheard by ≥ 1 auxiliary (C2 numerator).
-    pub overheard: u64,
+    overheard: u64,
     /// Overheard failures nobody relayed (C3 numerator).
-    pub unrelayed_overheard: u64,
+    unrelayed_overheard: u64,
     /// All relays (C4 denominator).
-    pub relays_total: u64,
+    relays_total: u64,
     /// Relays that reached the destination (C4 numerator).
-    pub relays_reached: u64,
+    relays_reached: u64,
 }
 
 impl ColumnCounts {
     /// Fold one finalized record into the counts.
-    pub fn add_record(&mut self, r: &TxRecord) {
+    fn add_record(&mut self, r: &TxRecord) {
         self.n += 1;
         self.aux_heard_sum += r.aux_heard.len() as u64;
         self.aux_not_ack_sum += r
@@ -565,8 +769,8 @@ impl ColumnCounts {
     }
 
     /// Convert to the published column; `a1_median_aux` is the median
-    /// aux-set size (computed by the caller from the aux samples).
-    pub fn into_column(self, a1_median_aux: f64) -> Table1Column {
+    /// aux-set size.
+    fn into_column(self, a1_median_aux: f64) -> Table1Column {
         let mut col = Table1Column::default();
         if self.n == 0 {
             return col;
@@ -600,28 +804,10 @@ impl ColumnCounts {
     }
 }
 
-/// Median aux-set size over the per-second samples (Table 1 row A1; the
-/// set belongs to the vehicle, so both directions share it).
-pub fn median_aux_size(aux_sizes: &[(u64, usize)]) -> f64 {
-    let sizes: Vec<f64> = aux_sizes.iter().map(|&(_, s)| s as f64).collect();
-    vifi_metrics::median(&sizes)
-}
-
 impl Table1 {
     /// Derive Table 1 from a run log.
     pub fn from_log(log: &RunLog) -> Table1 {
-        Table1 {
-            up: Self::column(log, Direction::Upstream),
-            down: Self::column(log, Direction::Downstream),
-        }
-    }
-
-    fn column(log: &RunLog, dir: Direction) -> Table1Column {
-        let mut counts = ColumnCounts::default();
-        for r in log.dir_records(dir) {
-            counts.add_record(r);
-        }
-        counts.into_column(median_aux_size(&log.aux_sizes))
+        log.fold().table1(&log.aux_sizes)
     }
 }
 
@@ -640,11 +826,11 @@ pub struct Table2Row {
 impl Table2Row {
     /// Compute the downstream false-positive/negative rates from a log.
     pub fn from_log(scheme: &str, log: &RunLog) -> Table2Row {
-        let col = Table1::column(log, Direction::Downstream);
+        let down = Table1::from_log(log).down;
         Table2Row {
             scheme: scheme.to_string(),
-            false_positives: col.b2_false_positive,
-            false_negatives: col.c3_false_negative,
+            false_positives: down.b2_false_positive,
+            false_negatives: down.c3_false_negative,
         }
     }
 }
@@ -662,32 +848,34 @@ pub struct PerfectRelayOutcome {
     pub efficiency_down: f64,
 }
 
-/// Integer accumulators behind [`PerfectRelayOutcome`], shared by the
-/// in-memory estimate and the streaming binary-trace fold so their
-/// divisions agree bit-for-bit.
+impl PerfectRelayOutcome {
+    /// Estimate from a ViFi run log.
+    pub fn from_log(log: &RunLog) -> PerfectRelayOutcome {
+        log.fold().oracle.into_outcome()
+    }
+}
+
+/// Integer accumulators behind [`PerfectRelayOutcome`].
 #[derive(Clone, Copy, Debug, Default)]
-pub struct PerfectRelayCounts {
+struct PerfectRelayCounts {
     /// Upstream wireless transmissions (one per source tx; upstream
     /// relays ride the backplane for free).
-    pub up_tx: u64,
+    up_tx: u64,
     /// Distinct upstream packet ids delivered under the oracle.
-    pub up_delivered: u64,
+    up_delivered: u64,
     /// Downstream wireless transmissions (source tx + the single perfect
     /// relay when the destination missed it and some aux could relay).
-    pub down_tx: u64,
+    down_tx: u64,
     /// Distinct downstream packet ids delivered under the oracle.
-    pub down_delivered: u64,
+    down_delivered: u64,
 }
 
 impl PerfectRelayCounts {
-    /// Fold one finalized record's transmission costs, returning whether
-    /// this record qualifies its packet id as delivered under the oracle.
-    /// The caller deduplicates per id (a packet counts once no matter how
-    /// many of its transmissions qualify) and then bumps
-    /// [`PerfectRelayCounts::up_delivered`] /
-    /// [`PerfectRelayCounts::down_delivered`].
-    pub fn add_record(&mut self, r: &TxRecord) -> bool {
-        match r.dir {
+    /// Fold one finalized record's transmission costs. A packet counts
+    /// as delivered once, in the direction of its first transmission that
+    /// the oracle delivers; `hit` is its id's flag.
+    fn add_record(&mut self, r: &TxRecord, hit: &mut bool) {
+        let delivered = match r.dir {
             // Upstream: delivered iff dst or any aux heard it.
             Direction::Upstream => {
                 self.up_tx += 1;
@@ -711,11 +899,17 @@ impl PerfectRelayCounts {
                     false
                 }
             }
+        };
+        if delivered && !std::mem::replace(hit, true) {
+            match r.dir {
+                Direction::Upstream => self.up_delivered += 1,
+                Direction::Downstream => self.down_delivered += 1,
+            }
         }
     }
 
     /// The published per-direction efficiencies.
-    pub fn into_outcome(self) -> PerfectRelayOutcome {
+    fn into_outcome(self) -> PerfectRelayOutcome {
         let mut out = PerfectRelayOutcome::default();
         if self.up_tx > 0 {
             out.efficiency_up = self.up_delivered as f64 / self.up_tx as f64;
@@ -724,23 +918,6 @@ impl PerfectRelayCounts {
             out.efficiency_down = self.down_delivered as f64 / self.down_tx as f64;
         }
         out
-    }
-}
-
-impl PerfectRelayOutcome {
-    /// Estimate from a ViFi run log.
-    pub fn from_log(log: &RunLog) -> PerfectRelayOutcome {
-        let mut counts = PerfectRelayCounts::default();
-        let mut seen: std::collections::HashSet<PacketId> = Default::default();
-        for r in &log.records {
-            if counts.add_record(r) && seen.insert(r.id) {
-                match r.dir {
-                    Direction::Upstream => counts.up_delivered += 1,
-                    Direction::Downstream => counts.down_delivered += 1,
-                }
-            }
-        }
-        counts.into_outcome()
     }
 }
 
@@ -759,33 +936,51 @@ mod tests {
         (10..10 + n).map(NodeId).collect()
     }
 
+    fn ms(ms: u64) -> SimTime {
+        SimTime::from_millis(ms)
+    }
+
+    fn tx(
+        id: PacketId,
+        dir: Direction,
+        aux_set: Vec<NodeId>,
+        aux_heard: Vec<NodeId>,
+        dst_heard: bool,
+    ) -> LogEvent {
+        LogEvent::SourceTx {
+            id,
+            dir,
+            aux_set,
+            aux_heard,
+            dst_heard,
+        }
+    }
+
+    fn relay(id: PacketId, by: NodeId, via_backplane: bool, reached: bool) -> LogEvent {
+        LogEvent::Relay {
+            id,
+            by,
+            via_backplane,
+            reached,
+        }
+    }
+
+    fn decision(id: PacketId, aux: NodeId, prob: f64) -> LogEvent {
+        LogEvent::Decision {
+            id,
+            aux,
+            prob,
+            relayed: true,
+        }
+    }
+
     #[test]
     fn attempts_count_per_id() {
         let mut log = RunLog::new();
-        log.on_source_tx(
-            id(1),
-            Direction::Upstream,
-            SimTime::ZERO,
-            aux(3),
-            vec![],
-            false,
-        );
-        log.on_source_tx(
-            id(1),
-            Direction::Upstream,
-            SimTime::from_millis(30),
-            aux(3),
-            vec![],
-            true,
-        );
-        log.on_source_tx(
-            id(2),
-            Direction::Upstream,
-            SimTime::from_millis(60),
-            aux(3),
-            vec![],
-            true,
-        );
+        let up = Direction::Upstream;
+        log.apply(ms(0), tx(id(1), up, aux(3), vec![], false));
+        log.apply(ms(30), tx(id(1), up, aux(3), vec![], true));
+        log.apply(ms(60), tx(id(2), up, aux(3), vec![], true));
         assert_eq!(log.records[0].attempt, 0);
         assert_eq!(log.records[1].attempt, 1);
         assert_eq!(log.records[2].attempt, 0);
@@ -794,35 +989,32 @@ mod tests {
     #[test]
     fn table1_basic_rates() {
         let mut log = RunLog::new();
-        log.on_aux_sample(0, 5);
-        log.on_aux_sample(1, 3);
-        log.on_aux_sample(2, 5);
+        for (sec, size) in [(0, 5), (1, 3), (2, 5)] {
+            log.apply(ms(sec * 1000), LogEvent::AuxSample { sec, size });
+        }
         // 4 upstream transmissions: 3 reach dst, 1 fails.
         for (i, dst) in [(0u64, true), (1, true), (2, true), (3, false)] {
-            log.on_source_tx(
-                id(i),
-                Direction::Upstream,
-                SimTime::from_millis(i * 10),
-                aux(5),
-                if dst {
-                    vec![NodeId(10)]
-                } else {
-                    vec![NodeId(10), NodeId(11)]
-                },
-                dst,
+            let heard = if dst {
+                vec![NodeId(10)]
+            } else {
+                vec![NodeId(10), NodeId(11)]
+            };
+            log.apply(
+                ms(i * 10),
+                tx(id(i), Direction::Upstream, aux(5), heard, dst),
             );
             if dst {
-                log.on_delivered(id(i));
+                log.apply(ms(i * 10), LogEvent::DeliverMark { id: id(i) });
             }
         }
         // The failed one gets relayed by one aux over the backplane and
         // reaches the destination.
-        log.on_decision(id(3), NodeId(10), 0.9, true);
-        log.on_relay(id(3), NodeId(10), true, true);
-        log.on_delivered(id(3));
+        log.apply(ms(40), decision(id(3), NodeId(10), 0.9));
+        log.apply(ms(40), relay(id(3), NodeId(10), true, true));
+        log.apply(ms(40), LogEvent::DeliverMark { id: id(3) });
         // One successful one also gets a (false-positive) relay.
-        log.on_decision(id(0), NodeId(10), 0.3, true);
-        log.on_relay(id(0), NodeId(10), true, true);
+        log.apply(ms(40), decision(id(0), NodeId(10), 0.3));
+        log.apply(ms(40), relay(id(0), NodeId(10), true, true));
 
         let t = Table1::from_log(&log);
         assert_eq!(t.up.a1_median_aux, 5.0);
@@ -842,15 +1034,16 @@ mod tests {
     #[test]
     fn ack_hearing_reduces_a3() {
         let mut log = RunLog::new();
-        log.on_source_tx(
-            id(1),
-            Direction::Downstream,
-            SimTime::ZERO,
-            aux(3),
-            vec![NodeId(10), NodeId(11)],
-            true,
+        let heard = vec![NodeId(10), NodeId(11)];
+        log.apply(ms(0), tx(id(1), Direction::Downstream, aux(3), heard, true));
+        let heard_by = vec![NodeId(10), NodeId(99)];
+        log.apply(
+            ms(0),
+            LogEvent::AckAttach {
+                id: id(1),
+                heard_by,
+            },
         );
-        log.on_ack_heard(id(1), &[NodeId(10), NodeId(99)]);
         let t = Table1::from_log(&log);
         assert_eq!(t.down.a2_aux_hear_tx, 2.0);
         assert_eq!(t.down.a3_aux_hear_tx_not_ack, 1.0, "one aux missed the ACK");
@@ -862,19 +1055,16 @@ mod tests {
         // Downstream: 2 successes with 3 relays total → fp = 1.5;
         // 2 failures, one unrelayed → fn = 0.5.
         for (i, dst) in [(0u64, true), (1, true), (2, false), (3, false)] {
-            log.on_source_tx(
-                id(i),
-                Direction::Downstream,
-                SimTime::from_millis(i * 10),
-                aux(4),
-                vec![NodeId(10)],
-                dst,
+            let heard = vec![NodeId(10)];
+            log.apply(
+                ms(i * 10),
+                tx(id(i), Direction::Downstream, aux(4), heard, dst),
             );
         }
-        log.on_relay(id(0), NodeId(10), false, true);
-        log.on_relay(id(0), NodeId(11), false, false);
-        log.on_relay(id(1), NodeId(12), false, true);
-        log.on_relay(id(2), NodeId(10), false, true);
+        log.apply(ms(40), relay(id(0), NodeId(10), false, true));
+        log.apply(ms(40), relay(id(0), NodeId(11), false, false));
+        log.apply(ms(40), relay(id(1), NodeId(12), false, true));
+        log.apply(ms(40), relay(id(2), NodeId(10), false, true));
         let row = Table2Row::from_log("ViFi", &log);
         assert!((row.false_positives - 1.5).abs() < 1e-12);
         assert!((row.false_negatives - 0.5).abs() < 1e-12);
@@ -883,31 +1073,11 @@ mod tests {
     #[test]
     fn perfect_relay_upstream_counts_any_bs() {
         let mut log = RunLog::new();
+        let up = Direction::Upstream;
         // tx0: dst heard. tx1: only aux heard. tx2: nobody heard.
-        log.on_source_tx(
-            id(0),
-            Direction::Upstream,
-            SimTime::ZERO,
-            aux(2),
-            vec![],
-            true,
-        );
-        log.on_source_tx(
-            id(1),
-            Direction::Upstream,
-            SimTime::ZERO,
-            aux(2),
-            vec![NodeId(10)],
-            false,
-        );
-        log.on_source_tx(
-            id(2),
-            Direction::Upstream,
-            SimTime::ZERO,
-            aux(2),
-            vec![],
-            false,
-        );
+        log.apply(ms(0), tx(id(0), up, aux(2), vec![], true));
+        log.apply(ms(0), tx(id(1), up, aux(2), vec![NodeId(10)], false));
+        log.apply(ms(0), tx(id(2), up, aux(2), vec![], false));
         let p = PerfectRelayOutcome::from_log(&log);
         assert!((p.efficiency_up - 2.0 / 3.0).abs() < 1e-12);
     }
@@ -915,36 +1085,16 @@ mod tests {
     #[test]
     fn perfect_relay_downstream_spends_one_relay() {
         let mut log = RunLog::new();
+        let down = Direction::Downstream;
         // tx0: dst heard (1 tx, delivered).
-        log.on_source_tx(
-            id(0),
-            Direction::Downstream,
-            SimTime::ZERO,
-            aux(2),
-            vec![],
-            true,
-        );
+        log.apply(ms(0), tx(id(0), down, aux(2), vec![], true));
         // tx1: dst missed, aux heard, ViFi did not relay → assumed success,
         // 2 tx.
-        log.on_source_tx(
-            id(1),
-            Direction::Downstream,
-            SimTime::ZERO,
-            aux(2),
-            vec![NodeId(10)],
-            false,
-        );
+        log.apply(ms(0), tx(id(1), down, aux(2), vec![NodeId(10)], false));
         // tx2: dst missed, aux heard, ViFi relayed and failed → failure,
         // 2 tx.
-        log.on_source_tx(
-            id(2),
-            Direction::Downstream,
-            SimTime::ZERO,
-            aux(2),
-            vec![NodeId(10)],
-            false,
-        );
-        log.on_relay(id(2), NodeId(10), false, false);
+        log.apply(ms(0), tx(id(2), down, aux(2), vec![NodeId(10)], false));
+        log.apply(ms(0), relay(id(2), NodeId(10), false, false));
         let p = PerfectRelayOutcome::from_log(&log);
         // Delivered: id0, id1 → 2; tx: 1 + 2 + 2 = 5.
         assert!((p.efficiency_down - 2.0 / 5.0).abs() < 1e-12);
@@ -953,9 +1103,9 @@ mod tests {
     #[test]
     fn aux_samples_dedup_by_second() {
         let mut log = RunLog::new();
-        log.on_aux_sample(0, 4);
-        log.on_aux_sample(0, 9);
-        log.on_aux_sample(1, 5);
+        for (sec, size) in [(0, 4), (0, 9), (1, 5)] {
+            log.apply(ms(sec * 1000), LogEvent::AuxSample { sec, size });
+        }
         assert_eq!(log.aux_sizes, vec![(0, 4), (1, 5)]);
     }
 

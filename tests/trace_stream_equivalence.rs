@@ -22,8 +22,8 @@ use vifi::core::{Direction, PacketId};
 use vifi::faults::FaultPlan;
 use vifi::phy::NodeId;
 use vifi::runtime::{
-    read_stream, Fingerprintable, PerfectRelayOutcome, RunConfig, RunLog, Simulation, StreamFold,
-    Table1, WorkloadSpec,
+    read_stream, Fingerprintable, LogEvent, LogSink, PerfectRelayOutcome, RunConfig, RunLog,
+    Simulation, StreamFold, Table1, WorkloadSpec,
 };
 use vifi::sim::{SimDuration, SimTime};
 use vifi::testbeds::{dieselnet_fleet, vanlan, Scenario};
@@ -160,7 +160,10 @@ fn fold_working_set_stays_flat_as_horizon_grows() {
     let peak = |secs: u64| {
         let cfg = fleet_cfg(&scenario, 7, 1, secs, false);
         let outcome = Simulation::deployment(&scenario, cfg).run();
-        let s = outcome.log.stream_summary();
+        let bytes = outcome.log.write_binary(Vec::new()).expect("serialize");
+        let mut fold = StreamFold::new();
+        read_stream(&bytes[..], &mut fold).expect("fold");
+        let s = fold.finish();
         (s.records, s.peak_pending)
     };
     let (short_records, short_peak) = peak(15);
@@ -197,22 +200,35 @@ fn build_log(ops: &[(u8, u32, u64, bool)], base: u32) -> RunLog {
         } else {
             Direction::Downstream
         };
-        match kind % 5 {
-            0 => log.on_source_tx(
+        let ev = match kind % 5 {
+            0 => LogEvent::SourceTx {
                 id,
                 dir,
-                SimTime::from_millis(seq),
-                vec![NodeId(node), NodeId(node + 1)],
-                vec![NodeId(node)],
-                flag,
-            ),
-            1 => log.on_ack_heard(id, &[NodeId(node), NodeId(node + 1)]),
-            2 => log.on_decision(id, NodeId(node), 0.25, flag),
-            3 => log.on_relay(id, NodeId(node), flag, !flag),
-            _ => log.on_delivered(id),
-        }
+                aux_set: vec![NodeId(node), NodeId(node + 1)],
+                aux_heard: vec![NodeId(node)],
+                dst_heard: flag,
+            },
+            1 => LogEvent::AckAttach {
+                id,
+                heard_by: vec![NodeId(node), NodeId(node + 1)],
+            },
+            2 => LogEvent::Decision {
+                id,
+                aux: NodeId(node),
+                prob: 0.25,
+                relayed: flag,
+            },
+            3 => LogEvent::Relay {
+                id,
+                by: NodeId(node),
+                via_backplane: flag,
+                reached: !flag,
+            },
+            _ => LogEvent::DeliverMark { id },
+        };
+        log.apply(SimTime::from_millis(seq), ev);
     }
-    log.on_aux_sample(0, 3);
+    log.apply(SimTime::ZERO, LogEvent::AuxSample { sec: 0, size: 3 });
     log.ledger_up.on_wireless_tx();
     log
 }
