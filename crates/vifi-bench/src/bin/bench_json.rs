@@ -1,6 +1,7 @@
 //! Hot-path micro-benchmark snapshot: measures every path named by the
 //! ROADMAP (relay probability, Gilbert–Elliott fades, shadow-field
-//! sampling, event-queue churn, session aggregation) with the
+//! sampling, link-quality lookups, event-queue churn, session
+//! aggregation) with the
 //! statistics-bearing harness and writes a `BENCH_<name>.json` snapshot
 //! (`{bench → ns/iter}`).
 //!
@@ -31,7 +32,7 @@ use vifi_mac::WireFrame;
 use vifi_metrics::{sessions_from_ratios, SessionDef, SlotSeries};
 use vifi_phy::gilbert::GeParams;
 use vifi_phy::pathloss::{ShadowField, ShadowSampler};
-use vifi_phy::{GilbertElliott, NodeId, Point};
+use vifi_phy::{GilbertElliott, LinkModel, NodeId, Point};
 use vifi_runtime::{
     read_stream, LogEvent, LogSink, RunConfig, RunLog, Simulation, StreamFold, WorkloadSpec,
 };
@@ -80,6 +81,7 @@ fn register(h: &mut Harness) {
     bench_relay(h);
     bench_gilbert(h);
     bench_shadow(h);
+    bench_link_lookup(h);
     bench_event_queue(h);
     bench_sessions(h);
     bench_wire_frame(h);
@@ -356,6 +358,27 @@ fn bench_shadow(h: &mut Harness) {
     h.bench("shadow_sample_path", || {
         i = (i + 1) & 4095;
         sampler.sample_db(path[i])
+    });
+}
+
+fn bench_link_lookup(h: &mut Harness) {
+    // The channel question behind every barrier probe, every receiver of
+    // a frame and every pair-second of the set-up contact sweeps: can
+    // `rx` hear `tx` now? One `quality_hint` per iteration, walking every
+    // ordered pair of a 108-node metro at 30 one-second instants.
+    let scenario = metro(4, 16, 1);
+    let link = scenario.build_link_model(&Rng::new(1));
+    let ids: Vec<NodeId> = link.nodes().iter().map(|&(id, _)| id).collect();
+    let pairs: Vec<(NodeId, NodeId)> = ids
+        .iter()
+        .flat_map(|&a| ids.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
+        .collect();
+    let calls = pairs.len() * 30;
+    let mut i = 0usize;
+    h.bench("link_quality_hint_metro", || {
+        i = (i + 1) % calls;
+        let (tx, rx) = pairs[i % pairs.len()];
+        link.quality_hint(tx, rx, SimTime::from_secs((i / pairs.len()) as u64))
     });
 }
 

@@ -43,8 +43,6 @@
 //! overlap its deferred start. At the paper's offered loads the medium is
 //! idle ≫ 95% of the time, so the gap almost never opens.
 
-use std::collections::HashMap;
-
 use vifi_phy::{LinkModel, NodeId};
 use vifi_sim::{Rng, SimTime};
 
@@ -390,10 +388,12 @@ pub struct SharedMediumService<P> {
     live: Vec<Transmission<P>>,
     /// Root of the per-node backoff streams.
     backoff_root: Rng,
-    /// Per-node slotted-backoff streams, forked lazily from the root by
-    /// node id — a node's draws depend only on how many frames *it* sent,
-    /// which is what makes placement independent of shard interleaving.
-    backoff: HashMap<NodeId, Rng>,
+    /// Per-node slotted-backoff streams, indexed by [`NodeId::index`] and
+    /// forked lazily from the root by node id — a node's draws depend only
+    /// on how many frames *it* sent, which is what makes placement
+    /// independent of shard interleaving. A sender's stream is `None`
+    /// before its first frame and while its placement group holds it.
+    backoff: Vec<Option<Rng>>,
     /// Count of frames put on the air (for efficiency accounting).
     pub tx_count: u64,
 }
@@ -407,7 +407,7 @@ impl<P: Clone> SharedMediumService<P> {
             next_handle: 0,
             live: Vec::new(),
             backoff_root: rng.fork_named("mac-backoff"),
-            backoff: HashMap::new(),
+            backoff: Vec::new(),
             tx_count: 0,
         }
     }
@@ -428,12 +428,28 @@ impl<P: Clone> SharedMediumService<P> {
     }
 
     fn backoff_draw(&mut self, node: NodeId) -> u64 {
-        let root = &self.backoff_root;
         let cw = self.params.cw_slots;
+        let mut stream = self.take_backoff(node);
+        let draw = stream.below(cw);
+        self.put_backoff(node, stream);
+        draw
+    }
+
+    /// Take `node`'s backoff stream out of the table, forking it from the
+    /// root on the node's first frame.
+    fn take_backoff(&mut self, node: NodeId) -> Rng {
         self.backoff
-            .entry(node)
-            .or_insert_with(|| root.fork(node.label()))
-            .below(cw)
+            .get_mut(node.index())
+            .and_then(Option::take)
+            .unwrap_or_else(|| self.backoff_root.fork(node.label()))
+    }
+
+    /// Return `node`'s backoff stream to the table.
+    fn put_backoff(&mut self, node: NodeId, stream: Rng) {
+        if self.backoff.len() <= node.index() {
+            self.backoff.resize_with(node.index() + 1, || None);
+        }
+        self.backoff[node.index()] = Some(stream);
     }
 
     fn windows(&self) -> Vec<kernel::TxWindow> {
@@ -721,11 +737,7 @@ impl<P: Clone> SharedMediumService<P> {
                 for (_, req) in &requests {
                     let src = req.frame.src;
                     if !backoff.iter().any(|(n, _)| *n == src) {
-                        let stream = self
-                            .backoff
-                            .remove(&src)
-                            .unwrap_or_else(|| self.backoff_root.fork(src.label()));
-                        backoff.push((src, stream));
+                        backoff.push((src, self.take_backoff(src)));
                     }
                 }
                 PlacementGroup {
@@ -750,7 +762,7 @@ impl<P: Clone> SharedMediumService<P> {
         let mut indexed = Vec::new();
         for g in groups {
             for (node, rng) in g.backoff {
-                self.backoff.insert(node, rng);
+                self.put_backoff(node, rng);
             }
             transmissions.extend(g.transmissions);
             indexed.extend(g.placements);

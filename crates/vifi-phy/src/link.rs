@@ -23,8 +23,13 @@
 //! receptions on disjoint links draw identical values no matter which
 //! resolves first, and several model instances built from the same seed
 //! agree link-for-link.
-
-use std::collections::HashMap;
+//!
+//! Lookups are dense: node ids are small dense integers (see
+//! [`NodeId::index`]), so node kinds, mobility and every lazily created
+//! per-link object live in tables indexed by id — one vector index per
+//! node lookup, two per link — instead of scans or hashed `(tx, rx)` keys.
+//! This is the cost every `quality_hint`, every reception sample and every
+//! set-up contact sweep pays per call.
 
 use vifi_sim::{Rng, SimTime};
 
@@ -77,21 +82,64 @@ pub trait LinkModel {
     /// (trace mode synthesizes one from the delivery probability).
     fn rssi_dbm(&mut self, tx: NodeId, rx: NodeId, now: SimTime) -> Option<f64>;
 
-    /// All nodes known to the model, with their kinds.
+    /// All nodes known to the model, with their kinds, in registration
+    /// order.
     fn nodes(&self) -> &[(NodeId, NodeKind)];
-
-    /// Nodes that could plausibly receive a transmission from `tx` at
-    /// `now` (a superset of actual receivers; used to bound sampling work).
-    fn candidates(&self, tx: NodeId, now: SimTime) -> Vec<NodeId> {
-        self.nodes()
-            .iter()
-            .map(|(id, _)| *id)
-            .filter(|id| *id != tx && self.quality_hint(tx, *id, now) > 0.0)
-            .collect()
-    }
 
     /// The model's sampling RNG (separate stream from the fade processes).
     fn rng(&mut self) -> &mut Rng;
+}
+
+/// Per-directed-link objects indexed by `(tx, rx)` ids: one row of slots
+/// per transmitter into a dense `Vec<T>`, both grown the first time a link
+/// is touched. Creation stays lazy and per link, so which links exist —
+/// and when each was created — is exactly what a hashed map would hold.
+struct LinkTable<T> {
+    /// `rows[tx][rx]`: the link's index into `items`, or [`NO_SLOT`].
+    rows: Vec<Vec<u32>>,
+    items: Vec<T>,
+}
+
+/// Row entry of a link that has no object yet.
+const NO_SLOT: u32 = u32::MAX;
+
+impl<T> LinkTable<T> {
+    fn new() -> Self {
+        LinkTable {
+            rows: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+
+    fn slot(&self, tx: NodeId, rx: NodeId) -> Option<usize> {
+        let slot = *self.rows.get(tx.index())?.get(rx.index())?;
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
+
+    /// The link's object, if it was ever created.
+    fn get(&self, tx: NodeId, rx: NodeId) -> Option<&T> {
+        self.slot(tx, rx).map(|s| &self.items[s])
+    }
+
+    /// The link's object, created by `make` on first use.
+    fn get_or_insert_with(&mut self, tx: NodeId, rx: NodeId, make: impl FnOnce() -> T) -> &mut T {
+        let slot = match self.slot(tx, rx) {
+            Some(s) => s,
+            None => {
+                if self.rows.len() <= tx.index() {
+                    self.rows.resize_with(tx.index() + 1, Vec::new);
+                }
+                let row = &mut self.rows[tx.index()];
+                if row.len() <= rx.index() {
+                    row.resize(rx.index() + 1, NO_SLOT);
+                }
+                row[rx.index()] = u32::try_from(self.items.len()).expect("link table overflow");
+                self.items.push(make());
+                self.items.len() - 1
+            }
+        };
+        &mut self.items[slot]
+    }
 }
 
 /// Per-directed-link dynamic state for the physical model.
@@ -113,9 +161,13 @@ pub struct PhysicalLinkModel {
     params: RadioParams,
     gray_params: GrayParams,
     ge_params: GeParams,
+    /// Registered nodes in registration order (what
+    /// [`LinkModel::nodes`] returns).
     nodes: Vec<(NodeId, NodeKind)>,
-    mobility: HashMap<NodeId, MobilitySource>,
-    links: HashMap<(NodeId, NodeId), LinkState>,
+    /// Kind and mobility of each registered node, indexed by
+    /// [`NodeId::index`]; `None` for ids never registered.
+    table: Vec<Option<(NodeKind, MobilitySource)>>,
+    links: LinkTable<LinkState>,
     master: Rng,
     sampler: Rng,
     /// Run-constant stream id for the shadowing fields.
@@ -133,8 +185,8 @@ impl PhysicalLinkModel {
             gray_params: GrayParams::default(),
             ge_params: GeParams::default(),
             nodes: Vec::new(),
-            mobility: HashMap::new(),
-            links: HashMap::new(),
+            table: Vec::new(),
+            links: LinkTable::new(),
             master,
             sampler,
             shadow_stream: id_src.next_u64(),
@@ -155,9 +207,13 @@ impl PhysicalLinkModel {
 
     /// Register a node. Panics on duplicate ids.
     pub fn add_node(&mut self, id: NodeId, kind: NodeKind, mobility: MobilitySource) {
-        assert!(!self.mobility.contains_key(&id), "duplicate node {id:?}");
+        if self.table.len() <= id.index() {
+            self.table.resize_with(id.index() + 1, || None);
+        }
+        let entry = &mut self.table[id.index()];
+        assert!(entry.is_none(), "duplicate node {id:?}");
+        *entry = Some((kind, mobility));
         self.nodes.push((id, kind));
-        self.mobility.insert(id, mobility);
     }
 
     /// The radio parameters in use.
@@ -165,25 +221,26 @@ impl PhysicalLinkModel {
         &self.params
     }
 
+    /// Kind and mobility of a registered node. Panics on unknown node.
+    fn node(&self, id: NodeId) -> &(NodeKind, MobilitySource) {
+        self.table
+            .get(id.index())
+            .and_then(Option::as_ref)
+            .unwrap_or_else(|| panic!("unknown node {id:?}"))
+    }
+
     /// Position of a node at `t`. Panics on unknown node.
     pub fn position(&self, id: NodeId, t: SimTime) -> Point {
-        self.mobility
-            .get(&id)
-            .unwrap_or_else(|| panic!("unknown node {id:?}"))
-            .position_at(t)
+        self.node(id).1.position_at(t)
     }
 
     /// Kind of a node. Panics on unknown node.
     pub fn kind(&self, id: NodeId) -> NodeKind {
-        self.nodes
-            .iter()
-            .find(|(n, _)| *n == id)
-            .map(|(_, k)| *k)
-            .unwrap_or_else(|| panic!("unknown node {id:?}"))
+        self.node(id).0
     }
 
-    fn tx_power_dbm(&self, id: NodeId) -> f64 {
-        match self.kind(id) {
+    fn tx_power_dbm(&self, kind: NodeKind) -> f64 {
+        match kind {
             NodeKind::Vehicle => self.params.vehicle_tx_power_dbm,
             NodeKind::Basestation => self.params.bs_tx_power_dbm,
             NodeKind::Wired => f64::NEG_INFINITY,
@@ -205,17 +262,22 @@ impl PhysicalLinkModel {
     /// link midpoint to sample the shadow field at: `None` when the link
     /// is wired or beyond the radio horizon.
     fn link_geometry(&self, tx: NodeId, rx: NodeId, now: SimTime) -> Option<(f64, Point)> {
-        if matches!(self.kind(tx), NodeKind::Wired) || matches!(self.kind(rx), NodeKind::Wired) {
+        let (tx_kind, tx_mobility) = self.node(tx);
+        if matches!(tx_kind, NodeKind::Wired) {
             return None;
         }
-        let pt = self.position(tx, now);
-        let pr = self.position(rx, now);
+        let (rx_kind, rx_mobility) = self.node(rx);
+        if matches!(rx_kind, NodeKind::Wired) {
+            return None;
+        }
+        let pt = tx_mobility.position_at(now);
+        let pr = rx_mobility.position_at(now);
         let d = pt.distance(pr);
         if d > self.params.max_range_m {
             return None;
         }
         Some((
-            self.tx_power_dbm(tx) - self.params.path_loss_db(d),
+            self.tx_power_dbm(*tx_kind) - self.params.path_loss_db(d),
             pt.lerp(pr, 0.5),
         ))
     }
@@ -231,12 +293,11 @@ impl PhysicalLinkModel {
     }
 
     fn link_state(&mut self, tx: NodeId, rx: NodeId) -> &mut LinkState {
-        let key = (tx, rx);
         let master = &self.master;
         let gray_params = self.gray_params;
         let ge_params = self.ge_params;
         let shadow = self.shadow_field(tx, rx);
-        self.links.entry(key).or_insert_with(|| {
+        self.links.get_or_insert_with(tx, rx, || {
             let stream = master.fork(link_label(tx, rx));
             LinkState {
                 gray: GrayProcess::new(gray_params, stream.fork_named("gray")),
@@ -347,11 +408,8 @@ impl LossSeries {
 /// exist for diversity to exploit.
 pub struct TraceLinkModel {
     nodes: Vec<(NodeId, NodeKind)>,
-    series: HashMap<(NodeId, NodeId), LossSeries>,
-    fades: HashMap<(NodeId, NodeId), GilbertElliott>,
-    /// Per-link delivery-sampling streams, forked from the link identity
-    /// (see the module docs on sampling independence).
-    samplers: HashMap<(NodeId, NodeId), Rng>,
+    /// Everything kept per directed link, in one slot.
+    links: LinkTable<TraceLink>,
     ge_params: GeParams,
     master: Rng,
     sampler: Rng,
@@ -360,14 +418,24 @@ pub struct TraceLinkModel {
     radio: RadioParams,
 }
 
+/// One directed link of the trace model. Each part is created the first
+/// time it is needed: the series when installed, the fade chain on the
+/// first faded query, the sampling stream on the first sample.
+#[derive(Default)]
+struct TraceLink {
+    series: Option<LossSeries>,
+    fade: Option<GilbertElliott>,
+    /// Per-link delivery-sampling stream, forked from the link identity
+    /// (see the module docs on sampling independence).
+    sampler: Option<Rng>,
+}
+
 impl TraceLinkModel {
     /// Create an empty trace model.
     pub fn new(rng: &Rng) -> Self {
         TraceLinkModel {
             nodes: Vec::new(),
-            series: HashMap::new(),
-            fades: HashMap::new(),
-            samplers: HashMap::new(),
+            links: LinkTable::new(),
             ge_params: GeParams::default(),
             master: rng.fork_named("trace-fades"),
             sampler: rng.fork_named("trace-sampler"),
@@ -391,9 +459,10 @@ impl TraceLinkModel {
         let master = &self.master;
         let params = self.ge_params;
         let ge = self
-            .fades
-            .entry((tx, rx))
-            .or_insert_with(|| GilbertElliott::new(params, master.fork(link_label(tx, rx))));
+            .links
+            .get_or_insert_with(tx, rx, TraceLink::default)
+            .fade
+            .get_or_insert_with(|| GilbertElliott::new(params, master.fork(link_label(tx, rx))));
         let atten = ge.attenuation_db_at(now);
         if atten == 0.0 {
             return p;
@@ -414,47 +483,42 @@ impl TraceLinkModel {
 
     /// Install the per-second delivery series for a directed link.
     pub fn set_series(&mut self, tx: NodeId, rx: NodeId, series: LossSeries) {
-        self.series.insert((tx, rx), series);
+        self.links
+            .get_or_insert_with(tx, rx, TraceLink::default)
+            .series = Some(series);
     }
 
     /// Install the same series in both directions (the paper assumes
     /// symmetric vehicle↔BS loss in trace mode, §5.1).
     pub fn set_symmetric(&mut self, a: NodeId, b: NodeId, series: LossSeries) {
-        self.series.insert((a, b), series.clone());
-        self.series.insert((b, a), series);
+        self.set_series(a, b, series.clone());
+        self.set_series(b, a, series);
     }
 
     /// The recorded series for a directed link, if any.
     pub fn series(&self, tx: NodeId, rx: NodeId) -> Option<&LossSeries> {
-        self.series.get(&(tx, rx))
+        self.links.get(tx, rx)?.series.as_ref()
     }
 }
 
 impl LinkModel for TraceLinkModel {
     fn delivery_prob(&mut self, tx: NodeId, rx: NodeId, now: SimTime) -> f64 {
-        let base = self
-            .series
-            .get(&(tx, rx))
-            .map(|s| s.prob_at(now))
-            .unwrap_or(0.0);
+        let base = self.quality_hint(tx, rx, now);
         self.faded(tx, rx, base, now)
     }
 
     fn sample_delivery(&mut self, tx: NodeId, rx: NodeId, now: SimTime) -> bool {
         let p = self.delivery_prob(tx, rx, now);
         let sampler_root = &self.sampler;
-        let s = self
-            .samplers
-            .entry((tx, rx))
-            .or_insert_with(|| sampler_root.fork(link_label(tx, rx)));
-        s.chance(p)
+        self.links
+            .get_or_insert_with(tx, rx, TraceLink::default)
+            .sampler
+            .get_or_insert_with(|| sampler_root.fork(link_label(tx, rx)))
+            .chance(p)
     }
 
     fn quality_hint(&self, tx: NodeId, rx: NodeId, now: SimTime) -> f64 {
-        self.series
-            .get(&(tx, rx))
-            .map(|s| s.prob_at(now))
-            .unwrap_or(0.0)
+        self.series(tx, rx).map_or(0.0, |s| s.prob_at(now))
     }
 
     fn rssi_dbm(&mut self, tx: NodeId, rx: NodeId, now: SimTime) -> Option<f64> {
@@ -522,29 +586,89 @@ mod tests {
         assert_eq!(m.quality_hint(bs, veh, SimTime::ZERO), 0.0);
     }
 
+    /// Six nodes with an id gap (3 and 4 unused), registered in `order`.
+    fn gapped_model(order: &[usize]) -> PhysicalLinkModel {
+        let drive = |y: f64, offset_m: f64| {
+            let route = Route::new(vec![Point::new(0.0, y), Point::new(900.0, y)], 12.0, false);
+            MobilitySource::Mobile(route.with_start_offset(offset_m))
+        };
+        let at = |x: f64, y: f64| MobilitySource::Fixed(Point::new(x, y));
+        let nodes = [
+            (0, NodeKind::Basestation, at(0.0, 0.0)),
+            (1, NodeKind::Vehicle, drive(20.0, 0.0)),
+            (2, NodeKind::Basestation, at(300.0, 40.0)),
+            (5, NodeKind::Vehicle, drive(-30.0, 150.0)),
+            (6, NodeKind::Wired, at(0.0, 0.0)),
+            (7, NodeKind::Basestation, at(650.0, 0.0)),
+        ];
+        let mut m = PhysicalLinkModel::new(RadioParams::default(), &Rng::new(11));
+        for &i in order {
+            let (id, kind, mobility) = nodes[i].clone();
+            m.add_node(NodeId(id), kind, mobility);
+        }
+        m
+    }
+
     #[test]
-    fn candidates_filter_far_nodes() {
-        let rng = Rng::new(1);
-        let mut m = PhysicalLinkModel::new(RadioParams::default(), &rng);
-        m.add_node(
-            NodeId(0),
-            NodeKind::Basestation,
-            MobilitySource::Fixed(Point::new(0.0, 0.0)),
+    fn dense_tables_ignore_registration_order_and_id_gaps() {
+        let mut in_order = gapped_model(&[0, 1, 2, 3, 4, 5]);
+        let mut shuffled = gapped_model(&[4, 1, 5, 0, 3, 2]);
+        let ids: Vec<NodeId> = in_order.nodes().iter().map(|&(id, _)| id).collect();
+        for k in 0..6 {
+            let t = SimTime::from_secs(k * 9);
+            for &a in &ids {
+                assert_eq!(in_order.kind(a), shuffled.kind(a));
+                assert_eq!(in_order.position(a, t), shuffled.position(a, t));
+                for &b in &ids {
+                    let (p, q) = (in_order.slow_prob(a, b, t), shuffled.slow_prob(a, b, t));
+                    assert_eq!(p.to_bits(), q.to_bits(), "slow_prob {a:?}->{b:?} at {t:?}");
+                }
+            }
+        }
+        // Per-link sampling sequences agree draw for draw, although the
+        // two models create and visit their links in opposite orders.
+        let pairs: Vec<(NodeId, NodeId)> = ids
+            .iter()
+            .flat_map(|&a| ids.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
+            .collect();
+        let mut seq_in = vec![Vec::new(); pairs.len()];
+        let mut seq_sh = vec![Vec::new(); pairs.len()];
+        let mut t = SimTime::ZERO;
+        for _ in 0..300 {
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                seq_in[i].push(in_order.sample_delivery(a, b, t));
+            }
+            for (i, &(a, b)) in pairs.iter().enumerate().rev() {
+                seq_sh[i].push(shuffled.sample_delivery(a, b, t));
+            }
+            t += SimDuration::from_millis(30);
+        }
+        assert_eq!(seq_in, seq_sh);
+        assert!(
+            seq_in.iter().flatten().any(|&d| d),
+            "some link in range delivers"
         );
-        m.add_node(
-            NodeId(1),
-            NodeKind::Vehicle,
-            MobilitySource::Fixed(Point::new(100.0, 0.0)),
-        );
-        m.add_node(
-            NodeId(2),
-            NodeKind::Basestation,
-            MobilitySource::Fixed(Point::new(10_000.0, 0.0)),
-        );
-        let c = m.candidates(NodeId(0), SimTime::ZERO);
-        assert!(c.contains(&NodeId(1)));
-        assert!(!c.contains(&NodeId(2)));
-        assert!(!c.contains(&NodeId(0)), "never a candidate for itself");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown node")]
+    fn kind_past_the_table_panics() {
+        let m = gapped_model(&[0, 1, 2, 3, 4, 5]);
+        let _ = m.kind(NodeId(40));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown node")]
+    fn position_in_an_id_gap_panics() {
+        let m = gapped_model(&[0, 1, 2, 3, 4, 5]);
+        let _ = m.position(NodeId(3), SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown node")]
+    fn position_past_the_table_panics() {
+        let m = gapped_model(&[0, 1, 2, 3, 4, 5]);
+        let _ = m.position(NodeId(40), SimTime::ZERO);
     }
 
     #[test]
@@ -765,6 +889,25 @@ mod tests {
         assert_eq!(m.delivery_prob(a, b, SimTime::from_secs(10)), 0.0);
         // Unknown link: dead.
         assert_eq!(m.delivery_prob(b, NodeId(9), SimTime::ZERO), 0.0);
+    }
+
+    #[test]
+    fn trace_queries_past_every_row_are_dead() {
+        let rng = Rng::new(3);
+        let mut m = TraceLinkModel::new(&rng);
+        let (a, b) = (NodeId(0), NodeId(1));
+        m.add_node(a, NodeKind::Basestation);
+        m.add_node(b, NodeKind::Vehicle);
+        m.set_symmetric(a, b, LossSeries::new(vec![0.9; 5]));
+        let t = SimTime::from_millis(500);
+        // Past every row (transmitter), and past the end of a row
+        // (receiver): no series, no quality, no delivery.
+        for (tx, rx) in [(NodeId(7), a), (a, NodeId(7)), (NodeId(7), NodeId(8))] {
+            assert!(m.series(tx, rx).is_none());
+            assert_eq!(m.quality_hint(tx, rx, t), 0.0);
+            assert_eq!(m.delivery_prob(tx, rx, t), 0.0);
+        }
+        assert!(m.series(a, b).is_some() && m.series(b, a).is_some());
     }
 
     #[test]

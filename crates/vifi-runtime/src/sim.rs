@@ -1216,6 +1216,69 @@ mod tests {
         assert_eq!(sharded.fingerprint(), sequential.fingerprint());
     }
 
+    /// A link model whose reception sampling panics: the shard that gets
+    /// it kills its worker at the first frame it resolves.
+    struct PanicsOnSample(engine::EngineLink);
+
+    impl vifi_phy::LinkModel for PanicsOnSample {
+        fn delivery_prob(&mut self, tx: NodeId, rx: NodeId, now: vifi_sim::SimTime) -> f64 {
+            self.0.delivery_prob(tx, rx, now)
+        }
+        fn sample_delivery(&mut self, _: NodeId, _: NodeId, _: vifi_sim::SimTime) -> bool {
+            panic!("injected reception failure")
+        }
+        fn quality_hint(&self, tx: NodeId, rx: NodeId, now: vifi_sim::SimTime) -> f64 {
+            self.0.quality_hint(tx, rx, now)
+        }
+        fn rssi_dbm(&mut self, tx: NodeId, rx: NodeId, now: vifi_sim::SimTime) -> Option<f64> {
+            self.0.rssi_dbm(tx, rx, now)
+        }
+        fn nodes(&self) -> &[(NodeId, NodeKind)] {
+            self.0.nodes()
+        }
+        fn rng(&mut self) -> &mut Rng {
+            self.0.rng()
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_ends_a_threaded_run() {
+        // Two shards on two workers; the second shard's link panics. The
+        // other worker must leave its barrier wait, so the run unwinds
+        // instead of hanging with one worker parked forever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let s = vanlan(8);
+            let cfg = RunConfig {
+                fleet_workloads: vec![WorkloadSpec::paper_cbr()],
+                shards: 2,
+                ..quick_cfg(WorkloadSpec::Idle, 4, 5)
+            };
+            let contacts = Contacts::of(&s, cfg.seed);
+            let (even, odd): (Vec<NodeId>, Vec<NodeId>) = contacts
+                .clusters
+                .concat()
+                .into_iter()
+                .partition(|n| n.0 % 2 == 0);
+            let mut setup = deployment_setup(&s, cfg, contacts, vec![even, odd], 2);
+            let factory = setup.link_factory;
+            let built = std::sync::atomic::AtomicUsize::new(0);
+            setup.link_factory = Box::new(move || {
+                let link = factory();
+                match built.fetch_add(1, std::sync::atomic::Ordering::SeqCst) {
+                    0 => link,
+                    _ => Box::new(PanicsOnSample(link)),
+                }
+            });
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine::run(setup)));
+            tx.send(run.is_err()).expect("receiver alive");
+        });
+        let unwound = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the run returns instead of hanging");
+        assert!(unwound, "the injected panic propagates out of the run");
+    }
+
     #[test]
     fn salvaging_counts_with_tcp() {
         let s = vanlan(1);

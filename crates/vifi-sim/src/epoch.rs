@@ -18,14 +18,16 @@
 //! * [`EpochBarrier`] and [`NestedEpochBarrier`] — reusable rendezvous
 //!   for the worker threads of a parallel coupled run. The last worker to
 //!   arrive performs the serial barrier work; the barrier itself never
-//!   touches simulation state, so it cannot perturb determinism.
+//!   touches simulation state, so it cannot perturb determinism. A worker
+//!   that panics aborts the barrier through its [`AbortOnUnwind`] guard,
+//!   so the others panic out of their waits instead of parking forever.
 //!
 //! Determinism contract: the schedule is a pure function of its inputs
 //! (never of the shard partition or worker count), and the barrier is
 //! pure synchronization — which is what lets the runtime promise that a
 //! coupled run's outcome is bit-identical at every worker count.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::time::{SimDuration, SimTime, MICROS_PER_SEC};
 
@@ -313,6 +315,9 @@ struct BarrierState {
     arrived: usize,
     /// Generation counter; bumped when the last participant arrives.
     generation: u64,
+    /// Set once by [`EpochBarrier::abort`]: the generation can never
+    /// complete, so every wait fails.
+    aborted: bool,
 }
 
 /// A reusable N-participant rendezvous for coupled-run worker threads.
@@ -321,6 +326,10 @@ struct BarrierState {
 /// learns it was last (its cue to run the serial coordinator section in
 /// designs that want one). No simulation data flows through the barrier,
 /// so it cannot introduce nondeterminism — only waiting.
+///
+/// A participant that dies cannot arrive, so its peers would wait
+/// forever; [`Self::abort`] wakes them instead, and every wait on an
+/// aborted barrier panics.
 pub struct EpochBarrier {
     participants: usize,
     state: Mutex<BarrierState>,
@@ -336,6 +345,7 @@ impl EpochBarrier {
             state: Mutex::new(BarrierState {
                 arrived: 0,
                 generation: 0,
+                aborted: false,
             }),
             cv: Condvar::new(),
         }
@@ -349,21 +359,45 @@ impl EpochBarrier {
     /// Block until all participants have called `wait` for this
     /// generation. Returns `true` on exactly one participant per
     /// generation (the last to arrive).
+    ///
+    /// Panics if the barrier is or becomes aborted.
     pub fn wait(&self) -> bool {
-        let mut st = self.state.lock().expect("barrier poisoned");
+        self.arrive()
+            .unwrap_or_else(|| panic!("epoch barrier aborted: a participant panicked"))
+    }
+
+    /// [`Self::wait`], but `None` instead of a panic when aborted.
+    fn arrive(&self) -> Option<bool> {
+        let mut st = self.lock();
+        if st.aborted {
+            return None;
+        }
         st.arrived += 1;
         if st.arrived == self.participants {
             st.arrived = 0;
             st.generation = st.generation.wrapping_add(1);
             self.cv.notify_all();
-            true
-        } else {
-            let gen = st.generation;
-            while st.generation == gen {
-                st = self.cv.wait(st).expect("barrier poisoned");
-            }
-            false
+            return Some(true);
         }
+        let gen = st.generation;
+        while st.generation == gen && !st.aborted {
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        (!st.aborted).then_some(false)
+    }
+
+    /// Abort the barrier for good: every current and future wait panics.
+    /// Called when a participant dies, so its peers stop waiting for it.
+    pub fn abort(&self) {
+        self.lock().aborted = true;
+        self.cv.notify_all();
+    }
+
+    /// The state lock. The barrier never panics while holding it, so a
+    /// poisoned lock still holds consistent state; aborting must work
+    /// from a panicking thread.
+    fn lock(&self) -> MutexGuard<'_, BarrierState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -408,20 +442,58 @@ impl NestedEpochBarrier {
     /// Rendezvous of cluster `c` only — a fine boundary that concerns no
     /// other cluster. Returns `true` on exactly one of the cluster's
     /// participants (its local leader for the serial cluster work).
+    /// Panics once the barrier is aborted.
     pub fn wait_cluster(&self, c: usize) -> bool {
-        self.clusters[c].wait()
+        self.clusters[c]
+            .arrive()
+            .unwrap_or_else(|| panic!("cluster {c} epoch barrier aborted: a participant panicked"))
     }
 
     /// Fleet-wide rendezvous — a coarse boundary. Returns `true` on
-    /// exactly one participant overall (the global leader).
+    /// exactly one participant overall (the global leader). Panics once
+    /// the barrier is aborted.
     pub fn wait_global(&self) -> bool {
-        self.global.wait()
+        self.global
+            .arrive()
+            .unwrap_or_else(|| panic!("global epoch barrier aborted: a participant panicked"))
+    }
+
+    /// Abort the global barrier and every cluster barrier: every current
+    /// and future wait panics.
+    pub fn abort(&self) {
+        self.global.abort();
+        for c in &self.clusters {
+            c.abort();
+        }
+    }
+
+    /// A guard for one participant: if the participant unwinds while
+    /// holding it, the barrier is aborted, so the other participants
+    /// panic out of their waits instead of parking forever (a scoped
+    /// thread pool would otherwise never finish joining them).
+    pub fn abort_on_unwind(&self) -> AbortOnUnwind<'_> {
+        AbortOnUnwind { barrier: self }
+    }
+}
+
+/// Aborts a [`NestedEpochBarrier`] when dropped during a panic; see
+/// [`NestedEpochBarrier::abort_on_unwind`].
+pub struct AbortOnUnwind<'a> {
+    barrier: &'a NestedEpochBarrier,
+}
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.barrier.abort();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -654,6 +726,61 @@ mod tests {
         assert!(b.wait());
         assert!(b.wait());
         assert_eq!(b.participants(), 1);
+    }
+
+    /// The message of a panic payload (`panic!` with or without format
+    /// arguments).
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+    }
+
+    #[test]
+    fn a_panicking_participant_releases_the_other() {
+        // Two participants; one dies before its wait. Without the abort
+        // its peer would park on the condvar forever.
+        let barrier = Arc::new(NestedEpochBarrier::new(&[2]));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let survivor = {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let waited = catch_unwind(AssertUnwindSafe(|| barrier.wait_cluster(0)));
+                let msg = waited.err().and_then(|p| panic_message(&*p));
+                tx.send(msg).expect("receiver alive");
+            })
+        };
+        let dying = {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let _abort = barrier.abort_on_unwind();
+                panic!("injected worker failure");
+            })
+        };
+        assert!(dying.join().is_err(), "the injected panic propagates");
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the survivor returns from its wait");
+        assert_eq!(
+            msg.as_deref(),
+            Some("cluster 0 epoch barrier aborted: a participant panicked")
+        );
+        survivor.join().expect("survivor thread ends");
+        // The abort is sticky and covers the whole tree.
+        assert!(catch_unwind(AssertUnwindSafe(|| barrier.wait_global())).is_err());
+    }
+
+    #[test]
+    fn aborted_epoch_barrier_fails_every_wait() {
+        let b = EpochBarrier::new(1);
+        assert!(b.wait());
+        b.abort();
+        let err = catch_unwind(AssertUnwindSafe(|| b.wait())).expect_err("aborted");
+        assert_eq!(
+            panic_message(&*err).as_deref(),
+            Some("epoch barrier aborted: a participant panicked")
+        );
     }
 
     /// A two-cluster hierarchy with disjoint activity: cluster 0 is busy

@@ -36,7 +36,8 @@ pub mod sched;
 pub mod time;
 
 pub use epoch::{
-    BoundaryWalk, EpochBarrier, EpochSchedule, HierarchicalSchedule, NestedEpochBarrier,
+    AbortOnUnwind, BoundaryWalk, EpochBarrier, EpochSchedule, HierarchicalSchedule,
+    NestedEpochBarrier,
 };
 pub use event::{EventQueue, TimerToken};
 pub use rng::Rng;
