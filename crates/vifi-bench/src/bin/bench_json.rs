@@ -1,7 +1,7 @@
 //! Hot-path micro-benchmark snapshot: measures every path named by the
 //! ROADMAP (relay probability, Gilbert–Elliott fades, shadow-field
 //! sampling, link-quality lookups, event-queue churn, session
-//! aggregation) with the
+//! aggregation, set-up contact analysis, TCP driver ticks) with the
 //! statistics-bearing harness and writes a `BENCH_<name>.json` snapshot
 //! (`{bench → ns/iter}`).
 //!
@@ -34,7 +34,8 @@ use vifi_phy::gilbert::GeParams;
 use vifi_phy::pathloss::{ShadowField, ShadowSampler};
 use vifi_phy::{GilbertElliott, LinkModel, NodeId, Point};
 use vifi_runtime::{
-    read_stream, LogEvent, LogSink, RunConfig, RunLog, Simulation, StreamFold, WorkloadSpec,
+    plan_shards, read_stream, LogEvent, LogSink, RunConfig, RunLog, Simulation, StreamFold,
+    WorkloadSpec,
 };
 use vifi_sim::{EventQueue, Rng, SimDuration, SimTime};
 use vifi_testbeds::{dieselnet_fleet, metro, vanlan};
@@ -87,6 +88,41 @@ fn register(h: &mut Harness) {
     bench_wire_frame(h);
     bench_runlog_stream(h);
     bench_fleet_sharded(h);
+    bench_setup_and_tcp(h);
+}
+
+fn bench_setup_and_tcp(h: &mut Harness) {
+    // One run's set-up contact analysis on a 108-node metro, through the
+    // public planner entry point: the streaming pass over the contact
+    // atlas (clusters, load weights, per-cluster activity) plus the plan.
+    let scenario = metro(4, 16, 1);
+    let cfg = RunConfig {
+        fleet_workloads: vec![WorkloadSpec::paper_cbr()],
+        duration: SimDuration::from_secs(30),
+        seed: 1,
+        shards: 2,
+        ..RunConfig::default()
+    };
+    h.bench("contact_analysis_metro", || {
+        plan_shards(&scenario, std::hint::black_box(&cfg))
+            .assignments
+            .len()
+    });
+    // Table 1's workload at a tenth of its length: one instrumented van
+    // running the paper's repeated TCP transfers, one shard — where the
+    // driver's timer ticks land in the event count.
+    let vanlan1 = vanlan(1);
+    let tcp_cfg = RunConfig {
+        workload: WorkloadSpec::paper_tcp(),
+        duration: SimDuration::from_secs(120),
+        seed: 71,
+        ..RunConfig::default()
+    };
+    h.bench("tcp_run_vanlan1_120s", || {
+        Simulation::deployment(&vanlan1, std::hint::black_box(tcp_cfg.clone()))
+            .run()
+            .events
+    });
 }
 
 fn bench_wire_frame(h: &mut Harness) {

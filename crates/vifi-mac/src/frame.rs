@@ -56,6 +56,19 @@ impl Default for MacParams {
 }
 
 impl MacParams {
+    /// Check the invariants the medium relies on: a non-negative
+    /// `sense_threshold`. Carrier-sense probes are planned only between
+    /// contact candidates, whose skipped pairs have quality `0.0`; a
+    /// negative (or NaN) threshold would make those pairs audible and
+    /// change the model silently, so it is rejected.
+    pub fn validate(&self) {
+        assert!(
+            self.sense_threshold >= 0.0,
+            "MacParams::sense_threshold must be a non-negative number, got {}",
+            self.sense_threshold
+        );
+    }
+
     /// Time on air for a frame of `size_bytes` (PHY overhead + serialization).
     pub fn airtime(&self, size_bytes: u32) -> SimDuration {
         let bits = size_bytes as u64 * 8;

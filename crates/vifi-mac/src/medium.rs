@@ -43,7 +43,7 @@
 //! overlap its deferred start. At the paper's offered loads the medium is
 //! idle ≫ 95% of the time, so the gap almost never opens.
 
-use vifi_phy::{LinkModel, NodeId};
+use vifi_phy::{ContactSecond, LinkModel, NodeId};
 use vifi_sim::{Rng, SimTime};
 
 use crate::frame::{Frame, MacParams};
@@ -259,7 +259,8 @@ impl PartitionProbes {
         self.probes.len()
     }
 
-    /// True when no probes are needed (zero or one possible component).
+    /// True when no pair needs a probe (one sender, or no two nodes in
+    /// contact).
     pub fn is_empty(&self) -> bool {
         self.probes.is_empty()
     }
@@ -400,8 +401,10 @@ pub struct SharedMediumService<P> {
 
 impl<P: Clone> SharedMediumService<P> {
     /// New service with the given MAC parameters; backoff streams fork
-    /// from `rng`.
+    /// from `rng`. Panics on invalid parameters (see
+    /// [`MacParams::validate`]).
     pub fn new(params: MacParams, rng: &Rng) -> Self {
+        params.validate();
         SharedMediumService {
             params,
             next_handle: 0,
@@ -519,7 +522,24 @@ impl<P: Clone> SharedMediumService<P> {
     /// before `at` are already over and probe nothing. Every batch
     /// placement floors at `at`, so audibility evaluated at `at` is
     /// exactly the audibility placement will see.
-    pub fn partition_probes(&self, requests: &[TxRequest<P>], at: SimTime) -> PartitionProbes {
+    ///
+    /// Only pairs that are candidates of each other in `contacts` (the
+    /// link model's lists for `at`'s second) are planned. Any other
+    /// pair's `quality_hint` is `0.0`, and with a non-negative
+    /// `sense_threshold` (checked in [`Self::new`]) a skipped probe would
+    /// have answered "not audible" — the union-find, the groups and each
+    /// group's audible pairs are exactly those of the full plan.
+    pub fn partition_probes(
+        &self,
+        requests: &[TxRequest<P>],
+        at: SimTime,
+        contacts: &ContactSecond,
+    ) -> PartitionProbes {
+        debug_assert_eq!(
+            contacts.second(),
+            at.second_bin(),
+            "contacts of another second"
+        );
         let mut senders: Vec<NodeId> = requests.iter().map(|r| r.frame.src).collect();
         senders.sort_unstable_by_key(|n| n.label());
         senders.dedup();
@@ -541,18 +561,20 @@ impl<P: Clone> SharedMediumService<P> {
                 .is_err()
         });
         nodes.extend(lives);
-        let n_live = nodes.len() - n_senders;
-        let mut probes =
-            Vec::with_capacity(n_senders * n_senders.saturating_sub(1) + n_live * n_senders);
+        let mut probes = Vec::new();
         for a in 0..n_senders {
             for b in (a + 1)..n_senders {
-                probes.push((a, b, nodes[a], nodes[b]));
-                probes.push((a, b, nodes[b], nodes[a]));
+                if contacts.contains(nodes[a], nodes[b]) {
+                    probes.push((a, b, nodes[a], nodes[b]));
+                    probes.push((a, b, nodes[b], nodes[a]));
+                }
             }
         }
         for l in n_senders..nodes.len() {
             for s in 0..n_senders {
-                probes.push((s, l, nodes[l], nodes[s]));
+                if contacts.contains(nodes[l], nodes[s]) {
+                    probes.push((s, l, nodes[l], nodes[s]));
+                }
             }
         }
         PartitionProbes {
@@ -575,7 +597,7 @@ impl<P: Clone> SharedMediumService<P> {
         at: SimTime,
         link: &dyn LinkModel,
     ) -> Vec<Vec<usize>> {
-        let probes = self.partition_probes(requests, at);
+        let probes = self.partition_probes(requests, at, &link.contacts(at.second_bin()));
         let audible: Vec<bool> = (0..probes.len())
             .map(|k| probes.eval(k, at, link, self.params.sense_threshold))
             .collect();
@@ -679,7 +701,7 @@ impl<P: Clone> SharedMediumService<P> {
         at: SimTime,
         link: &dyn LinkModel,
     ) -> Vec<PlacementGroup<P>> {
-        let probes = self.partition_probes(&requests, at);
+        let probes = self.partition_probes(&requests, at, &link.contacts(at.second_bin()));
         let audible: Vec<bool> = (0..probes.len())
             .map(|k| probes.eval(k, at, link, self.params.sense_threshold))
             .collect();
@@ -904,6 +926,24 @@ mod tests {
             assert_eq!((pa.start, pa.end), (pb.start, pb.end));
             assert_eq!(pb.handle.raw(), pa.handle.raw() + (7u64 << 48));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "MacParams::sense_threshold")]
+    fn negative_sense_threshold_is_rejected() {
+        svc(MacParams {
+            sense_threshold: -0.01,
+            ..MacParams::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "MacParams::sense_threshold")]
+    fn nan_sense_threshold_is_rejected() {
+        svc(MacParams {
+            sense_threshold: f64::NAN,
+            ..MacParams::default()
+        });
     }
 
     #[test]

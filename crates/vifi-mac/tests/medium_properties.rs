@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use vifi_mac::medium::kernel;
 use vifi_mac::{Frame, MacParams, SharedMediumService, TxRequest};
 use vifi_phy::link::{LinkModel, LossSeries, TraceLinkModel};
-use vifi_phy::{NodeId, NodeKind};
+use vifi_phy::{ContactSecond, NodeId, NodeKind};
 use vifi_sim::{Rng, SimTime};
 
 /// A randomized topology: `n` nodes and a directed audibility matrix of
@@ -350,6 +350,41 @@ proptest! {
                  those groups must have merged"
             );
         }
+    }
+
+    /// Planning probes only between contact candidates splits and places
+    /// a batch exactly like the complete plan: every skipped probe would
+    /// have answered "not audible".
+    #[test]
+    fn candidate_probes_place_like_the_complete_plan(
+        topo in topology_strategy(),
+        seed in 1u64..10_000,
+        gap_us in 500u64..3000,
+    ) {
+        let (link, mut med_a, _, second, at) = two_batch_setup(&topo, seed, gap_us);
+        let (_, mut med_b, _, _, _) = two_batch_setup(&topo, seed, gap_us);
+        let sense = MacParams::default().sense_threshold;
+        let ids: Vec<NodeId> = link.nodes().iter().map(|&(id, _)| id).collect();
+        let place = |med: &mut SharedMediumService<u32>, contacts: &ContactSecond| {
+            let probes = med.partition_probes(&second, at, contacts);
+            let audible: Vec<bool> =
+                (0..probes.len()).map(|k| probes.eval(k, at, &link, sense)).collect();
+            let groups = med.split_batch_resolved(second.clone(), at, &probes, &audible);
+            let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
+            let placed = groups.into_iter().map(|g| g.place(at)).collect();
+            let windows: Vec<_> = med
+                .merge_placed(placed)
+                .iter()
+                .map(|p| (p.handle, p.start, p.end))
+                .collect();
+            (probes.len(), sizes, windows)
+        };
+        let (pruned, groups_a, windows_a) = place(&mut med_a, &link.contacts(at.second_bin()));
+        let (full, groups_b, windows_b) =
+            place(&mut med_b, &ContactSecond::complete(at.second_bin(), &ids));
+        prop_assert!(pruned <= full);
+        prop_assert_eq!(groups_a, groups_b, "groups diverged");
+        prop_assert_eq!(windows_a, windows_b, "placements diverged");
     }
 
     /// Group-parallel placement is bit-identical to the whole-batch path:

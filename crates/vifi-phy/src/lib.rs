@@ -17,7 +17,9 @@
 //! loss + spatially-correlated shadowing mean ([`pathloss`]) with those two
 //! per-link processes. [`link::TraceLinkModel`] implements the paper's
 //! trace-driven mode (§5.1): per-second loss ratios drive Bernoulli packet
-//! loss directly.
+//! loss directly. Both answer [`LinkModel::contacts`]: per second, the
+//! node pairs that may hear each other at all ([`contact`]), so callers
+//! skip provably silent pairs.
 //!
 //! Everything here is deterministic given a seed, and — per the substitution
 //! rules in DESIGN.md — the Fig. 5/Fig. 6 bench binaries *measure* these
@@ -26,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod contact;
 pub mod geom;
 pub mod gilbert;
 pub mod gray;
@@ -33,6 +36,7 @@ pub mod link;
 pub mod node;
 pub mod pathloss;
 
+pub use contact::ContactSecond;
 pub use geom::{kmh_to_ms, Fixed, Mobility, Point, Route};
 pub use gilbert::GilbertElliott;
 pub use gray::GrayProcess;

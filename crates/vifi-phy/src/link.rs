@@ -33,6 +33,7 @@
 
 use vifi_sim::{Rng, SimTime};
 
+use crate::contact::{grid_contacts, within_reach, Body, ContactSecond};
 use crate::geom::{Point, Route};
 use crate::gilbert::{GeParams, GilbertElliott};
 use crate::gray::{GrayParams, GrayProcess};
@@ -54,6 +55,14 @@ impl MobilitySource {
         match self {
             MobilitySource::Fixed(p) => *p,
             MobilitySource::Mobile(r) => r.position_at(t),
+        }
+    }
+
+    /// Top speed, m/s: how far the node can move in one second.
+    pub(crate) fn speed_ms(&self) -> f64 {
+        match self {
+            MobilitySource::Fixed(_) => 0.0,
+            MobilitySource::Mobile(r) => r.speed_ms(),
         }
     }
 }
@@ -85,6 +94,16 @@ pub trait LinkModel {
     /// All nodes known to the model, with their kinds, in registration
     /// order.
     fn nodes(&self) -> &[(NodeId, NodeKind)];
+
+    /// Second `sec`'s contact lists: per node, every node it may hear or
+    /// be heard by at some instant of `[sec, sec + 1)` — a superset of
+    /// the pairs whose [`Self::quality_hint`] can be nonzero in that
+    /// second (see [`crate::contact`]). This default lists every node as
+    /// a candidate of every other.
+    fn contacts(&self, sec: u64) -> ContactSecond {
+        let ids: Vec<NodeId> = self.nodes().iter().map(|&(id, _)| id).collect();
+        ContactSecond::complete(sec, &ids)
+    }
 
     /// The model's sampling RNG (separate stream from the fade processes).
     fn rng(&mut self) -> &mut Rng;
@@ -319,6 +338,67 @@ impl PhysicalLinkModel {
             }
         }
     }
+
+    /// A radio node (not wired) as the contact grid sees it during
+    /// second `sec`.
+    fn body(&self, id: NodeId, sec: u64) -> Option<Body> {
+        let (kind, mobility) = self.node(id);
+        (*kind != NodeKind::Wired).then(|| Body {
+            id,
+            at: mobility.position_at(SimTime::from_secs(sec)),
+            speed_ms: mobility.speed_ms(),
+        })
+    }
+
+    /// The members of `among` that are candidates of `node` in second
+    /// `sec`, lazily and in `among`'s order: one row of
+    /// [`LinkModel::contacts`] restricted to `among`, by the same pair
+    /// test, for callers that need a single node's row and not the whole
+    /// second.
+    pub fn reachable<'a>(
+        &'a self,
+        node: NodeId,
+        sec: u64,
+        among: &'a [NodeId],
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let me = self.body(node, sec);
+        among.iter().copied().filter(move |&other| {
+            other != node
+                && me.is_some_and(|me| {
+                    self.body(other, sec)
+                        .is_some_and(|b| within_reach(&me, &b, self.params.max_range_m))
+                })
+        })
+    }
+
+    /// Check that `c` lists every radio pair within `max_range_m` at the
+    /// first, middle and last microsecond of its second — the pairs
+    /// whose `slow_prob` can be nonzero there.
+    fn assert_covers(&self, c: &ContactSecond) {
+        let radio: Vec<NodeId> = self
+            .nodes
+            .iter()
+            .filter(|&&(_, kind)| kind != NodeKind::Wired)
+            .map(|&(id, _)| id)
+            .collect();
+        let base = c.second() * 1_000_000;
+        for t in [base, base + 500_000, base + 999_999] {
+            let t = SimTime::from_micros(t);
+            let at: Vec<Point> = radio.iter().map(|&id| self.position(id, t)).collect();
+            for i in 0..radio.len() {
+                for j in i + 1..radio.len() {
+                    assert!(
+                        at[i].distance(at[j]) > self.params.max_range_m
+                            || c.contains(radio[i], radio[j]),
+                        "{:?}–{:?} in range at {t:?} but not a candidate of second {}",
+                        radio[i],
+                        radio[j],
+                        c.second()
+                    );
+                }
+            }
+        }
+    }
 }
 
 impl LinkModel for PhysicalLinkModel {
@@ -344,6 +424,21 @@ impl LinkModel for PhysicalLinkModel {
 
     fn quality_hint(&self, tx: NodeId, rx: NodeId, now: SimTime) -> f64 {
         self.slow_prob(tx, rx, now)
+    }
+
+    /// The grid lists over every radio node's position at the start of
+    /// `sec` (see [`crate::contact`] for why they are exact).
+    fn contacts(&self, sec: u64) -> ContactSecond {
+        let bodies: Vec<Body> = self
+            .nodes
+            .iter()
+            .filter_map(|&(id, _)| self.body(id, sec))
+            .collect();
+        let c = grid_contacts(sec, self.table.len(), &bodies, self.params.max_range_m);
+        if cfg!(debug_assertions) {
+            self.assert_covers(&c);
+        }
+        c
     }
 
     fn rssi_dbm(&mut self, tx: NodeId, rx: NodeId, now: SimTime) -> Option<f64> {
@@ -521,6 +616,36 @@ impl LinkModel for TraceLinkModel {
         self.series(tx, rx).map_or(0.0, |s| s.prob_at(now))
     }
 
+    /// The pairs whose series give either direction a nonzero
+    /// probability in second `sec` — exactly where `quality_hint` is
+    /// nonzero, since a series holds one probability per second.
+    fn contacts(&self, sec: u64) -> ContactSecond {
+        let now = SimTime::from_secs(sec);
+        let mut pairs = Vec::new();
+        for (tx, row) in self.links.rows.iter().enumerate() {
+            for (rx, &slot) in row.iter().enumerate() {
+                let live = slot != NO_SLOT
+                    && self.links.items[slot as usize]
+                        .series
+                        .as_ref()
+                        .is_some_and(|s| s.prob_at(now) > 0.0);
+                if live {
+                    pairs.push((NodeId(tx as u32), NodeId(rx as u32)));
+                }
+            }
+        }
+        // Every id a node or a link end uses.
+        let n = self
+            .nodes
+            .iter()
+            .map(|&(id, _)| id.index() + 1)
+            .chain(self.links.rows.iter().map(Vec::len))
+            .chain([self.links.rows.len()])
+            .max()
+            .unwrap_or(0);
+        ContactSecond::from_pairs(sec, n, pairs)
+    }
+
     fn rssi_dbm(&mut self, tx: NodeId, rx: NodeId, now: SimTime) -> Option<f64> {
         let p = self.quality_hint(tx, rx, now);
         if p <= 0.0 {
@@ -576,6 +701,34 @@ mod tests {
         }
         let rate = ok as f64 / n as f64;
         assert!(rate > 0.80, "close-range delivery {rate}");
+    }
+
+    #[test]
+    fn physical_contacts_admit_near_pairs_only() {
+        let (m, bs, veh) = two_node_model(30.0);
+        assert!(m.contacts(0).contains(bs, veh));
+        assert!(m.reachable(bs, 0, &[bs, veh]).eq([veh]));
+        let (far, bs, veh) = two_node_model(RadioParams::default().max_range_m + 10.0);
+        assert!(!far.contacts(0).contains(bs, veh));
+        assert_eq!(far.reachable(bs, 0, &[veh]).count(), 0);
+    }
+
+    #[test]
+    fn trace_contacts_follow_nonzero_seconds() {
+        let mut m = TraceLinkModel::new(&Rng::new(1));
+        m.add_node(NodeId(0), NodeKind::Vehicle);
+        m.add_node(NodeId(1), NodeKind::Basestation);
+        m.add_node(NodeId(2), NodeKind::Basestation);
+        m.set_series(NodeId(1), NodeId(0), LossSeries::new(vec![0.0, 0.4, 0.0]));
+        assert!(m.contacts(0).candidates(NodeId(0)).is_empty());
+        // One direction with a nonzero probability admits the pair both ways.
+        assert_eq!(m.contacts(1).candidates(NodeId(0)), &[NodeId(1)]);
+        assert_eq!(m.contacts(1).candidates(NodeId(1)), &[NodeId(0)]);
+        assert!(m.contacts(1).candidates(NodeId(2)).is_empty());
+        assert!(
+            m.contacts(7).candidates(NodeId(1)).is_empty(),
+            "past the series"
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ use vifi_mac::{
     Backplane, BeaconSchedule, Frame, PartitionProbes, PlacedGroup, PlacementGroup, ResolvableTx,
     SharedMediumService, TxHandle, TxRequest, WireFrame,
 };
-use vifi_phy::{LinkModel, NodeId};
+use vifi_phy::{ContactSecond, LinkModel, NodeId};
 use vifi_sim::{
     BoundaryWalk, HierarchicalSchedule, NestedEpochBarrier, Rng, Scheduler, SimTime, TimerToken,
 };
@@ -207,6 +207,11 @@ struct Shard {
     /// its [`NodeSlot::cell`]).
     cells: Vec<NodeCell>,
     link: EngineLink,
+    /// The contact-atlas seconds in use on this shard's link.
+    contacts: ContactCache,
+    /// Lanes that have crash windows — the only ones a fault plan can
+    /// take down — each with its contact cluster.
+    crashable: Vec<(NodeId, usize)>,
     // ---- epoch outboxes, drained at the barriers of their clusters ----
     tx_requests: Vec<TxRequest<WireFrame>>,
     bp_sends: Vec<BpSend>,
@@ -222,6 +227,32 @@ struct Shard {
     faults: FaultStats,
     /// Wall-clock charged to this shard (see [`CoupledTiming`]).
     wall: Duration,
+}
+
+/// The contact-atlas seconds a shard is using: barrier instants and
+/// frame ends only move forward, so at most the current and the next
+/// second are ever in use, and older ones are dropped — memory does not
+/// grow with the horizon.
+#[derive(Default)]
+struct ContactCache([Option<ContactSecond>; 2]);
+
+impl ContactCache {
+    /// Second `sec`'s contact lists from `link`, built on first use.
+    fn get(&mut self, link: &dyn LinkModel, sec: u64) -> &ContactSecond {
+        let held = |c: &Option<ContactSecond>| c.as_ref().map(ContactSecond::second);
+        let i = match self.0.iter().position(|c| held(c) == Some(sec)) {
+            Some(i) => i,
+            None => {
+                // Refill the empty slot, else the older second's.
+                let i = (0..2)
+                    .min_by_key(|&i| held(&self.0[i]).map_or(0, |s| s + 1))
+                    .expect("two slots");
+                self.0[i] = Some(link.contacts(sec));
+                i
+            }
+        };
+        self.0[i].as_ref().expect("slot filled above")
+    }
 }
 
 /// One due cluster's batch as it moves through a boundary's phases.
@@ -562,6 +593,7 @@ impl Engine {
             ids.sort_by_key(|n| n.index());
             let mut nodes = Vec::with_capacity(ids.len());
             let mut cells = Vec::with_capacity(ids.len());
+            let mut crashable = Vec::new();
             for n in ids {
                 let slot = &mut slots[n.index()];
                 assert_ne!(slot.cluster, UNASSIGNED, "every node has a cluster");
@@ -584,6 +616,9 @@ impl Engine {
                     } + n.label(),
                 );
                 nodes.push((n, c));
+                if !cfg.faults.crash_windows(n).is_empty() {
+                    crashable.push((n, c));
+                }
                 cells.push(NodeCell {
                     endpoint: Endpoint::new(n, role, cfg.vifi.clone(), bs_ids.clone(), ep_rng),
                     iface_busy: false,
@@ -600,6 +635,8 @@ impl Engine {
                 sched: Scheduler::new(),
                 cells,
                 link: link_factory(),
+                contacts: ContactCache::default(),
+                crashable,
                 tx_requests: Vec::new(),
                 bp_sends: Vec::new(),
                 x_msgs: Vec::new(),
@@ -887,7 +924,12 @@ impl Engine {
             let senders = requests.iter().map(|r| r.frame.src).collect();
             let probes = (!requests.is_empty()).then(|| {
                 let rt = self.clusters[c].lock().expect("cluster rt");
-                rt.medium.partition_probes(&requests, at)
+                let mut host = self.shards[self.cluster_shards[c][0]]
+                    .lock()
+                    .expect("shard");
+                let Shard { link, contacts, .. } = &mut *host;
+                let contacts = contacts.get(link.as_ref(), at.second_bin());
+                rt.medium.partition_probes(&requests, at, contacts)
             });
             let audible = probes
                 .as_ref()
@@ -1048,8 +1090,11 @@ impl Engine {
     /// Phase 6 on shard `si`, charged to that shard: schedule `TxDone`
     /// for its own senders and sample its own receivers of every drained
     /// frame through the pure MAC kernel and its own link-model instance
-    /// — only the members of the frame's cluster, the only nodes that can
-    /// hear it.
+    /// — only the source's contact candidates in the second the frame
+    /// ends, and of those only the members of the frame's cluster, the
+    /// only nodes that can hear it. Every other receiver's
+    /// `quality_hint` is `0.0`, so the kernel would reject it before
+    /// drawing from any stream: skipping it changes nothing.
     fn resolve(&self, scratch: &BarrierScratch, si: usize, clock: &mut Instant) {
         let sense = self.cfg.mac.sense_threshold;
         self.on_shard(si, clock, |sh| {
@@ -1065,20 +1110,32 @@ impl Engine {
                     }
                 }
                 for tx in &b.resolvable {
-                    for &(rx, c) in &sh.nodes {
-                        if c != b.cluster {
+                    let down = |n: NodeId| self.faulted && self.cfg.faults.bs_down(n, tx.end);
+                    // A crashed node's radio hears nothing. Every down
+                    // member of the frame's cluster on this shard counts
+                    // as a dropped reception, audible or not; skipping
+                    // the sample is a pure decision of `(rx, end)`, so
+                    // every partition consumes its per-link streams
+                    // identically.
+                    sh.faults.rx_dropped_down += sh
+                        .crashable
+                        .iter()
+                        .filter(|&&(n, c)| c == b.cluster && down(n))
+                        .count() as u64;
+                    let Shard {
+                        link,
+                        contacts,
+                        sched,
+                        ..
+                    } = &mut *sh;
+                    let contacts = contacts.get(link.as_ref(), tx.end.second_bin());
+                    for &rx in contacts.candidates(tx.frame.src) {
+                        let slot = self.slot(rx);
+                        if slot.shard != si || slot.cluster != b.cluster || down(rx) {
                             continue;
                         }
-                        if self.faulted && self.cfg.faults.bs_down(rx, tx.end) {
-                            // A crashed node's radio hears nothing; skipping
-                            // the sample is a pure decision of `(rx, end)`,
-                            // so every partition consumes its per-link
-                            // streams identically.
-                            sh.faults.rx_dropped_down += 1;
-                            continue;
-                        }
-                        if kernel::sample_reception(sh.link.as_mut(), tx, rx, sense).is_some() {
-                            sh.sched.at(tx.end, (rx, Ev::Rx(tx.frame.payload.clone())));
+                        if kernel::sample_reception(link.as_mut(), tx, rx, sense).is_some() {
+                            sched.at(tx.end, (rx, Ev::Rx(tx.frame.payload.clone())));
                             heard.push((tx.handle, rx));
                         }
                     }

@@ -17,16 +17,16 @@
 //! bit-identical results.
 //!
 //! Every run walks one [`vifi_sim::HierarchicalSchedule`]. A deployment
-//! is first decomposed into radio-disjoint contact clusters
-//! ([`Scenario::contact_clusters`], computed once per run and shared by
-//! the shard planner and the engine set-up); each cluster gets a fine
-//! schedule from its own contact activity
-//! ([`Scenario::cluster_active_seconds`]) plus the beacon period, so
-//! while a cluster is out of contact its shards run free on a stretched
-//! quantum. A trace-driven run is one cluster whose activity comes from
-//! the trace. Backplane and wired coupling routes at every boundary of a
-//! one-cluster fleet and at coarse rendezvous otherwise — a consequence
-//! of the decomposition, not an option.
+//! is first decomposed into radio-disjoint contact clusters, each with a
+//! fine schedule from its own contact activity plus the beacon period —
+//! both from one streaming pass over the contact atlas
+//! ([`Scenario::contact_analysis`]), made once per run and shared by the
+//! shard planner and the engine set-up — so while a cluster is out of
+//! contact its shards run free on a stretched quantum. A trace-driven
+//! run is one cluster whose activity comes from the trace. Backplane and
+//! wired coupling routes at every boundary of a one-cluster fleet and at
+//! coarse rendezvous otherwise — a consequence of the decomposition, not
+//! an option.
 //!
 //! ## Fleet runs
 //!
@@ -58,10 +58,10 @@ use std::collections::HashMap;
 use vifi_core::VifiConfig;
 use vifi_faults::{ChannelOverrides, FaultPlan};
 use vifi_mac::{BackplaneParams, MacParams};
-use vifi_phy::{NodeId, NodeKind, PhysicalLinkModel};
+use vifi_phy::{NodeId, NodeKind};
 use vifi_sim::{HierarchicalSchedule, Rng, SimDuration};
 use vifi_testbeds::trace::TraceSimSetup;
-use vifi_testbeds::{BeaconTrace, Scenario};
+use vifi_testbeds::{BeaconTrace, ContactAnalysis, Scenario};
 
 use crate::engine::{self, CoupledTiming, EngineSetup};
 use crate::fingerprint::{Fingerprint, Fingerprintable};
@@ -304,7 +304,7 @@ impl Simulation {
         let Simulation { cfg, kind } = self;
         let setup = match &kind {
             SimKind::Deployment { scenario } => {
-                let contacts = Contacts::of(scenario, cfg.seed);
+                let contacts = contact_analysis(scenario, &cfg);
                 let lanes = vec![contacts.clusters.concat()];
                 deployment_setup(scenario, cfg, contacts, lanes, 1)
             }
@@ -321,19 +321,18 @@ fn activity_margin_s(cfg: &RunConfig) -> u64 {
 }
 
 /// The channel analysis a deployment run's planner and engine set-up
-/// share, computed once per run: the probe link model and the
-/// contact-cluster decomposition swept from it.
-struct Contacts {
-    link: PhysicalLinkModel,
-    clusters: Vec<Vec<NodeId>>,
-}
-
-impl Contacts {
-    fn of(scenario: &Scenario, seed: u64) -> Self {
-        let link = scenario.build_link_model(&Rng::new(seed));
-        let clusters = scenario.contact_clusters(&link);
-        Contacts { link, clusters }
-    }
+/// share, computed once per run in one streaming pass over the contact
+/// atlas of a probe link model: the contact clusters, the planner's load
+/// weights (delivery above 0.1) and each cluster's active ranges over the
+/// run's horizon.
+fn contact_analysis(scenario: &Scenario, cfg: &RunConfig) -> ContactAnalysis {
+    let link = scenario.build_link_model(&Rng::new(cfg.seed));
+    scenario.contact_analysis(
+        &link,
+        0.1,
+        cfg.duration.as_secs() + 1,
+        activity_margin_s(cfg),
+    )
 }
 
 /// Engine inputs of a deployment run on shards `lanes`: one fine
@@ -344,17 +343,15 @@ impl Contacts {
 fn deployment_setup(
     scenario: &Scenario,
     cfg: RunConfig,
-    contacts: Contacts,
+    contacts: ContactAnalysis,
     lanes: Vec<Vec<NodeId>>,
     workers: usize,
 ) -> EngineSetup {
-    let horizon_s = cfg.duration.as_secs() + 1;
-    let margin = activity_margin_s(&cfg);
-    let actives = contacts
-        .clusters
-        .iter()
-        .map(|c| scenario.cluster_active_seconds(&contacts.link, horizon_s, margin, c))
-        .collect();
+    let ContactAnalysis {
+        clusters,
+        cluster_active,
+        ..
+    } = contacts;
     let channel = cfg.channel;
     let seed = cfg.seed;
     let owned = scenario.clone();
@@ -371,8 +368,8 @@ fn deployment_setup(
             }
             Box::new(link)
         }),
-        hierarchy: HierarchicalSchedule::new(SYNC_QUANTUM, QUIET_QUANTUM, actives),
-        clusters: contacts.clusters,
+        hierarchy: HierarchicalSchedule::new(SYNC_QUANTUM, QUIET_QUANTUM, cluster_active),
+        clusters,
         lanes,
         workers,
         cfg,
@@ -477,19 +474,18 @@ fn resolve_shards(shards: usize) -> usize {
 /// fewer shards than clusters, whole clusters go LPT onto shards so no
 /// cluster straddles a shard boundary needlessly.
 pub fn plan_shards(scenario: &Scenario, cfg: &RunConfig) -> ShardPlan {
-    plan(scenario, &Contacts::of(scenario, cfg.seed), cfg.shards)
+    plan(&contact_analysis(scenario, cfg), cfg.shards)
 }
 
 /// [`plan_shards`] over an already computed channel analysis.
-fn plan(scenario: &Scenario, contacts: &Contacts, shards: usize) -> ShardPlan {
+fn plan(contacts: &ContactAnalysis, shards: usize) -> ShardPlan {
     let shards = resolve_shards(shards).max(1);
-    let link = &contacts.link;
     if contacts.clusters.len() >= 2 {
-        return plan_coupled_clustered(scenario, link, &contacts.clusters, shards);
+        return plan_coupled_clustered(contacts, shards);
     }
-    let vgroups = scenario.shard_partition_by_contact(shards, link, 0.1);
+    let vgroups = contacts.shard_partition(shards);
     // Basestations: longest-processing-time by contact seconds.
-    let mut weights = scenario.bs_contact_seconds(link, 0.1);
+    let mut weights = contacts.bs_contact_seconds.clone();
     weights.sort_by_key(|&(bs, w)| (std::cmp::Reverse(w), bs));
     let mut bs_groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
     let mut loads = vec![0u64; shards];
@@ -517,17 +513,15 @@ fn plan(scenario: &Scenario, contacts: &Contacts, shards: usize) -> ShardPlan {
 /// across its own shards. Keeping every cluster on an exclusive shard
 /// range (when shards allow) is what lets the nested barrier hierarchy
 /// run clusters without stalling each other; the plan stays a pure
-/// function of `(scenario, link, clusters, shards)` and — like every
-/// coupled plan — only a load-balancing choice, never a semantic one.
-fn plan_coupled_clustered(
-    scenario: &Scenario,
-    link: &PhysicalLinkModel,
-    clusters: &[Vec<NodeId>],
-    shards: usize,
-) -> ShardPlan {
+/// function of `(contacts, shards)` and — like every coupled plan — only
+/// a load-balancing choice, never a semantic one.
+fn plan_coupled_clustered(contacts: &ContactAnalysis, shards: usize) -> ShardPlan {
     // Per-node contact weights — the same load proxies the one-cluster
     // planner uses (vehicle contact seconds, BS contact seconds).
-    let bs_w: HashMap<NodeId, u64> = scenario.bs_contact_seconds(link, 0.1).into_iter().collect();
+    let bs_w: HashMap<NodeId, u64> = contacts.bs_contact_seconds.iter().copied().collect();
+    let vehicle_w: HashMap<NodeId, u64> =
+        contacts.vehicle_contact_seconds.iter().copied().collect();
+    let clusters = &contacts.clusters;
     let nc = clusters.len();
     let mut members: Vec<(Vec<(u64, NodeId)>, Vec<(u64, NodeId)>)> = Vec::with_capacity(nc);
     let mut cluster_w: Vec<u64> = Vec::with_capacity(nc);
@@ -540,11 +534,7 @@ fn plan_coupled_clustered(
                 bs.push((bw, n));
                 w += bw;
             } else {
-                let vw: u64 = scenario
-                    .contact_windows(n, link, 0.1)
-                    .iter()
-                    .map(|&(a, b)| b - a)
-                    .sum();
+                let vw = vehicle_w[&n];
                 vs.push((vw, n));
                 w += vw;
             }
@@ -657,8 +647,8 @@ impl Simulation {
         workers: Option<usize>,
     ) -> (RunOutcome, CoupledTiming) {
         scenario.validate();
-        let contacts = Contacts::of(scenario, cfg.seed);
-        let plan = plan(scenario, &contacts, cfg.shards);
+        let contacts = contact_analysis(scenario, &cfg);
+        let plan = plan(&contacts, cfg.shards);
         let lanes: Vec<Vec<NodeId>> = plan
             .assignments
             .iter()
@@ -1149,10 +1139,14 @@ mod tests {
             ..quick_cfg(WorkloadSpec::Idle, 8, 71)
         };
         let run = |collapse: bool| {
-            let mut contacts = Contacts::of(&s, cfg.seed);
+            let mut contacts = contact_analysis(&s, &cfg);
             assert_eq!(contacts.clusters.len(), 2, "one cluster per district");
             let lanes = vec![contacts.clusters.concat()];
             if collapse {
+                let link = s.build_link_model(&Rng::new(cfg.seed));
+                let (horizon_s, margin) = (cfg.duration.as_secs() + 1, activity_margin_s(&cfg));
+                contacts.cluster_active =
+                    vec![s.cluster_active_seconds(&link, horizon_s, margin, &lanes[0])];
                 contacts.clusters = lanes.clone();
             }
             let setup = deployment_setup(&s, cfg.clone(), contacts, lanes, 1);
@@ -1205,7 +1199,7 @@ mod tests {
             fleet_workloads: vec![WorkloadSpec::paper_cbr()],
             ..quick_cfg(WorkloadSpec::Idle, 2, 3)
         };
-        let contacts = Contacts::of(&s, cfg.seed);
+        let contacts = contact_analysis(&s, &cfg);
         assert_eq!(contacts.clusters.len(), 65);
         let lanes = vec![contacts.clusters.concat()];
         let setup = deployment_setup(&s, cfg.clone(), contacts, lanes, 1);
@@ -1236,6 +1230,9 @@ mod tests {
         fn nodes(&self) -> &[(NodeId, NodeKind)] {
             self.0.nodes()
         }
+        fn contacts(&self, sec: u64) -> vifi_phy::ContactSecond {
+            self.0.contacts(sec)
+        }
         fn rng(&mut self) -> &mut Rng {
             self.0.rng()
         }
@@ -1254,7 +1251,7 @@ mod tests {
                 shards: 2,
                 ..quick_cfg(WorkloadSpec::Idle, 4, 5)
             };
-            let contacts = Contacts::of(&s, cfg.seed);
+            let contacts = contact_analysis(&s, &cfg);
             let (even, odd): (Vec<NodeId>, Vec<NodeId>) = contacts
                 .clusters
                 .concat()
@@ -1277,6 +1274,21 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(120))
             .expect("the run returns instead of hanging");
         assert!(unwound, "the injected panic propagates out of the run");
+    }
+
+    #[test]
+    #[should_panic(expected = "MacParams::sense_threshold")]
+    fn a_negative_sense_threshold_is_rejected_at_set_up() {
+        // Out-of-range pairs have quality 0.0; a negative threshold would
+        // make them audible, which the candidate-only probes cannot see.
+        let cfg = RunConfig {
+            mac: MacParams {
+                sense_threshold: -0.5,
+                ..MacParams::default()
+            },
+            ..quick_cfg(WorkloadSpec::Idle, 2, 1)
+        };
+        Simulation::deployment(&vanlan(1), cfg).run();
     }
 
     #[test]

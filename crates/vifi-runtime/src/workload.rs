@@ -572,6 +572,11 @@ impl TransferLoop {
 pub(crate) struct TcpDriver {
     down: Option<TransferLoop>,
     up: Option<TransferLoop>,
+    /// Instants with a tick already scheduled and not yet fired. A tick
+    /// runs every timer due at its instant and re-arms for the next
+    /// deadline, so one tick per instant is enough: without this set,
+    /// every driver call would start its own self-re-arming chain.
+    pending: Vec<SimTime>,
 }
 
 impl TcpDriver {
@@ -579,15 +584,17 @@ impl TcpDriver {
         TcpDriver {
             down: down.then(|| TransferLoop::new(TAG_DOWN, file_size, now)),
             up: up.then(|| TransferLoop::new(TAG_UP, file_size, now)),
+            pending: Vec::new(),
         }
     }
 
-    fn reschedule(&self, api: &mut HostApi) {
+    fn reschedule(&mut self, api: &mut HostApi) {
         let mut next = SimTime::MAX;
         for l in [&self.down, &self.up].into_iter().flatten() {
             next = next.min(l.next_deadline(api.now));
         }
-        if next != SimTime::MAX {
+        if next != SimTime::MAX && !self.pending.contains(&next) {
+            self.pending.push(next);
             api.tick(TCP_CHAN, next);
         }
     }
@@ -605,6 +612,7 @@ impl Driver for TcpDriver {
     }
 
     fn on_tick(&mut self, _chan: u8, api: &mut HostApi) {
+        self.pending.retain(|&t| t != api.now);
         if let Some(l) = &mut self.down {
             l.on_timer(api);
         }
@@ -961,6 +969,64 @@ mod tests {
             }
         }
         assert!(completed_at.is_some(), "transfer should complete");
+    }
+
+    #[test]
+    fn tcp_driver_keeps_one_tick_per_instant() {
+        let ticks = |cmds: &[HostCmd]| -> Vec<SimTime> {
+            cmds.iter()
+                .filter_map(|c| match c {
+                    HostCmd::ScheduleTick { at, .. } => Some(*at),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut rng = Rng::new(5);
+        let mut d = TcpDriver::new(10_240, true, false, SimTime::ZERO);
+        let mut a = api(0, &mut rng);
+        d.start(&mut a);
+        let deadline = ticks(&a.cmds);
+        assert_eq!(deadline.len(), 1, "start arms one tick");
+        let segments: Vec<Bytes> = a
+            .cmds
+            .iter()
+            .filter_map(|c| match c {
+                HostCmd::SendDownstream(b) => Some(b.clone()),
+                _ => None,
+            })
+            .collect();
+        assert!(!segments.is_empty());
+        // Many segment arrivals at one instant: every call reschedules,
+        // the deadline does not move, and no second tick is armed for it.
+        let mut armed = Vec::new();
+        for _ in 0..10 {
+            for seg in &segments {
+                let mut a = api(1, &mut rng);
+                d.on_vehicle_rx(seg, &mut a);
+                armed.extend(ticks(&a.cmds));
+            }
+        }
+        assert!(armed.is_empty(), "deadline already armed: {armed:?}");
+        // The tick fires and re-arms exactly once for the next deadline,
+        // however many calls follow at that instant.
+        let mut a = HostApi {
+            now: deadline[0],
+            rng: &mut rng,
+            cmds: Vec::new(),
+        };
+        d.on_tick(TCP_CHAN, &mut a);
+        let mut armed = ticks(&a.cmds);
+        for seg in &segments {
+            let mut a = HostApi {
+                now: deadline[0],
+                rng: &mut rng,
+                cmds: Vec::new(),
+            };
+            d.on_vehicle_rx(seg, &mut a);
+            armed.extend(ticks(&a.cmds));
+        }
+        assert_eq!(armed.len(), 1, "one tick for the next deadline: {armed:?}");
+        assert!(armed[0] > deadline[0]);
     }
 
     #[test]

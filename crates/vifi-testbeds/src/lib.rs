@@ -74,7 +74,7 @@ pub mod vanlan;
 
 pub use dieselnet::{bus_schedules, dieselnet_ch1, dieselnet_ch6, dieselnet_fleet, BusSchedule};
 pub use metro::metro;
-pub use scenario::{NodeSpec, Scenario};
+pub use scenario::{ContactAnalysis, NodeSpec, Scenario};
 pub use trace::{
     generate_beacon_trace, generate_fleet_beacon_traces, BeaconRecord, BeaconTrace, TraceSimSetup,
 };

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use vifi_phy::link::MobilitySource;
-use vifi_phy::{NodeId, NodeKind, PhysicalLinkModel, Point, RadioParams};
+use vifi_phy::{LinkModel, NodeId, NodeKind, PhysicalLinkModel, Point, RadioParams};
 use vifi_sim::{Rng, SimDuration, SimTime};
 
 /// One node in a scenario.
@@ -140,31 +140,8 @@ impl Scenario {
         link: &PhysicalLinkModel,
         min_prob: f64,
     ) -> Vec<Vec<NodeId>> {
-        assert!(shards >= 1, "need at least one shard");
-        let mut weighted: Vec<(u64, NodeId)> = self
-            .vehicle_ids()
-            .into_iter()
-            .map(|v| {
-                let covered: u64 = self
-                    .contact_windows(v, link, min_prob)
-                    .iter()
-                    .map(|(a, b)| b - a)
-                    .sum();
-                (covered + 1, v)
-            })
-            .collect();
-        // Heaviest first; ties by id so the plan is reproducible.
-        weighted.sort_by_key(|&(w, v)| (std::cmp::Reverse(w), v));
-        let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
-        let mut loads = vec![0u64; shards];
-        for (w, v) in weighted {
-            let lightest = (0..shards)
-                .min_by_key(|&s| (loads[s], s))
-                .expect(">=1 shard");
-            loads[lightest] += w;
-            groups[lightest].push(v);
-        }
-        groups
+        self.sweep(link, Some(min_prob), 0, 0)
+            .shard_partition(shards)
     }
 
     /// Position of a node at a given time (convenience for map rendering).
@@ -179,7 +156,9 @@ impl Scenario {
     /// fleet schedulers and the fleet property tests lean on both
     /// invariants. Sampled at 1 Hz against `link` (build it with
     /// [`Scenario::build_link_model`]), the same granularity as the
-    /// testbeds' GPS and beacon logs.
+    /// testbeds' GPS and beacon logs; each second evaluates only the
+    /// basestations in the vehicle's row of the contact atlas
+    /// ([`PhysicalLinkModel::reachable`]).
     pub fn contact_windows(
         &self,
         vehicle: NodeId,
@@ -197,7 +176,9 @@ impl Scenario {
         let mut open: Option<u64> = None;
         for sec in 0..lap_s {
             let t = SimTime::from_secs(sec);
-            let covered = bs.iter().any(|&b| link.slow_prob(b, vehicle, t) > min_prob);
+            let covered = link
+                .reachable(vehicle, sec, &bs)
+                .any(|b| link.slow_prob(b, vehicle, t) > min_prob);
             match (covered, open) {
                 (true, None) => open = Some(sec),
                 (false, Some(start)) => {
@@ -225,24 +206,7 @@ impl Scenario {
         link: &PhysicalLinkModel,
         min_prob: f64,
     ) -> Vec<(NodeId, u64)> {
-        let vehicles = self.vehicle_ids();
-        let lap_s = self.lap.as_secs();
-        self.bs_ids()
-            .into_iter()
-            .map(|bs| {
-                let mut covered = 0u64;
-                for sec in 0..lap_s {
-                    let t = SimTime::from_secs(sec);
-                    if vehicles
-                        .iter()
-                        .any(|&v| link.slow_prob(bs, v, t) > min_prob)
-                    {
-                        covered += 1;
-                    }
-                }
-                (bs, covered + 1)
-            })
-            .collect()
+        self.sweep(link, Some(min_prob), 0, 0).bs_contact_seconds
     }
 
     /// The seconds of `[0, horizon_s)` during which cross-shard radio
@@ -260,13 +224,8 @@ impl Scenario {
         horizon_s: u64,
         margin_s: u64,
     ) -> Vec<(u64, u64)> {
-        self.active_seconds_for(
-            link,
-            horizon_s,
-            margin_s,
-            &self.vehicle_ids(),
-            &self.bs_ids(),
-        )
+        let all: Vec<NodeId> = self.nodes.iter().map(|n| n.id).collect();
+        self.active_ranges(link, horizon_s, margin_s, &all)
     }
 
     /// [`Scenario::active_seconds`] restricted to one cluster: only
@@ -274,9 +233,23 @@ impl Scenario {
     /// each other) makes a second active. Because contact clusters are
     /// radio-disjoint by construction ([`Scenario::contact_clusters`]),
     /// the union of every cluster's ranges equals the fleet-level
-    /// [`Scenario::active_seconds`] — per-cluster schedules never lose an
-    /// active second, they only stop charging one cluster for another's.
+    /// [`Scenario::active_seconds`] over the lap the decomposition
+    /// sampled — per-cluster schedules never lose an active second there,
+    /// they only stop charging one cluster for another's.
     pub fn cluster_active_seconds(
+        &self,
+        link: &PhysicalLinkModel,
+        horizon_s: u64,
+        margin_s: u64,
+        members: &[NodeId],
+    ) -> Vec<(u64, u64)> {
+        self.active_ranges(link, horizon_s, margin_s, members)
+    }
+
+    /// Active ranges over `[0, horizon_s)` counting only pairs inside
+    /// `members`: each second walks the members' vehicles' atlas rows
+    /// until one pair is active.
+    fn active_ranges(
         &self,
         link: &PhysicalLinkModel,
         horizon_s: u64,
@@ -288,42 +261,33 @@ impl Scenario {
             .copied()
             .filter(|&n| self.node(n).kind == NodeKind::Vehicle)
             .collect();
-        let bs: Vec<NodeId> = members
-            .iter()
-            .copied()
-            .filter(|&n| self.node(n).kind == NodeKind::Basestation)
-            .collect();
-        self.active_seconds_for(link, horizon_s, margin_s, &vehicles, &bs)
-    }
-
-    fn active_seconds_for(
-        &self,
-        link: &PhysicalLinkModel,
-        horizon_s: u64,
-        margin_s: u64,
-        vehicles: &[NodeId],
-        bs: &[NodeId],
-    ) -> Vec<(u64, u64)> {
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        let mut seconds = Vec::new();
         for sec in 0..horizon_s {
             let t = SimTime::from_secs(sec);
-            let active = vehicles.iter().enumerate().any(|(i, &v)| {
-                bs.iter().any(|&b| link.slow_prob(b, v, t) > 0.0)
-                    || vehicles[i + 1..]
-                        .iter()
-                        .any(|&w| link.slow_prob(v, w, t) > 0.0)
+            let active = vehicles.iter().any(|&v| {
+                link.reachable(v, sec, members).any(|x| {
+                    self.activity_link(v.min(x), v.max(x))
+                        .is_some_and(|(tx, rx)| link.slow_prob(tx, rx, t) > 0.0)
+                })
             });
-            if !active {
-                continue;
-            }
-            let lo = sec.saturating_sub(margin_s);
-            let hi = (sec + margin_s + 1).min(horizon_s.max(1));
-            match ranges.last_mut() {
-                Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
-                _ => ranges.push((lo, hi)),
+            if active {
+                mark(&mut seconds, sec);
             }
         }
-        ranges
+        dilate(seconds, margin_s, horizon_s)
+    }
+
+    /// The directed link whose `slow_prob > 0` makes a candidate pair
+    /// `a < b` active: basestation → vehicle, or earlier → later vehicle.
+    /// `None` for basestation pairs and wired ends, which never make a
+    /// second active.
+    fn activity_link(&self, a: NodeId, b: NodeId) -> Option<(NodeId, NodeId)> {
+        match (self.node(a).kind, self.node(b).kind) {
+            (NodeKind::Basestation, NodeKind::Vehicle) => Some((a, b)),
+            (NodeKind::Vehicle, NodeKind::Basestation) => Some((b, a)),
+            (NodeKind::Vehicle, NodeKind::Vehicle) => Some((a, b)),
+            _ => None,
+        }
     }
 
     /// Decompose the fleet into **contact clusters**: the connected
@@ -334,6 +298,8 @@ impl Scenario {
     /// [`Scenario::contact_windows`], and lap-long so the decomposition
     /// is independent of any particular run's horizon — while BS–BS pairs
     /// are sampled once at `t = 0` (fixed infrastructure does not move).
+    /// Each second evaluates `slow_prob` only on the contact atlas's
+    /// candidate pairs not yet joined.
     ///
     /// Nodes in different clusters can *never* interact over the air, so
     /// a coupled run may synchronize each cluster on its own fine-epoch
@@ -349,53 +315,114 @@ impl Scenario {
     /// their smallest node id. A pure function of the scenario and link
     /// geometry — never of shard or worker count.
     pub fn contact_clusters(&self, link: &PhysicalLinkModel) -> Vec<Vec<NodeId>> {
+        self.sweep(link, None, 0, 0).clusters
+    }
+
+    /// Everything one run's set-up needs from the contact structure, in
+    /// **one streaming pass** over the contact atlas: the contact
+    /// clusters, the planner's load weights at `min_prob`, and each
+    /// cluster's active ranges over `[0, horizon_s)` dilated by
+    /// `margin_s`. Each field equals the matching single-purpose method
+    /// ([`Scenario::contact_clusters`], [`Scenario::bs_contact_seconds`],
+    /// [`Scenario::contact_windows`] lengths,
+    /// [`Scenario::cluster_active_seconds`] per cluster). One second's
+    /// candidate lists are built, used and dropped before the next, so
+    /// memory does not grow with the lap or the horizon beyond the
+    /// returned ranges.
+    pub fn contact_analysis(
+        &self,
+        link: &PhysicalLinkModel,
+        min_prob: f64,
+        horizon_s: u64,
+        margin_s: u64,
+    ) -> ContactAnalysis {
+        self.sweep(link, Some(min_prob), horizon_s, margin_s)
+    }
+
+    /// The streaming pass behind [`Scenario::contact_analysis`]; `loads`
+    /// is the load threshold, `None` to skip the load weights.
+    fn sweep(
+        &self,
+        link: &PhysicalLinkModel,
+        loads: Option<f64>,
+        horizon_s: u64,
+        margin_s: u64,
+    ) -> ContactAnalysis {
         let n = self.nodes.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]]; // path halving
-                x = parent[x];
-            }
-            x
-        }
-        let union = |parent: &mut [usize], a: usize, b: usize| {
-            let (ra, rb) = (find(parent, a), find(parent, b));
-            if ra != rb {
-                // Root at the smaller index: deterministic structure.
-                let (lo, hi) = (ra.min(rb), ra.max(rb));
-                parent[hi] = lo;
-            }
-        };
-        let vehicles = self.vehicle_ids();
-        let bs = self.bs_ids();
-        for i in 0..bs.len() {
-            for j in i + 1..bs.len() {
-                if find(&mut parent, bs[i].index()) == find(&mut parent, bs[j].index()) {
-                    continue;
-                }
-                let t = SimTime::ZERO;
-                if link.slow_prob(bs[i], bs[j], t) > 0.0 || link.slow_prob(bs[j], bs[i], t) > 0.0 {
-                    union(&mut parent, bs[i].index(), bs[j].index());
-                }
-            }
-        }
-        for sec in 0..self.lap.as_secs().max(1) {
+        let lap_s = self.lap.as_secs();
+        let cluster_s = lap_s.max(1);
+        let (vehicles, bs) = (self.vehicle_ids(), self.bs_ids());
+        let is = |node: NodeId, kind: NodeKind| self.node(node).kind == kind;
+        let mut comps = Components::new(n);
+        // Per node: seconds covered above the load threshold, the last
+        // second counted, and (vehicles) run-length active seconds.
+        let mut covered = vec![0u64; n];
+        let mut counted = vec![u64::MAX; n];
+        let mut active: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
+        for sec in 0..cluster_s.max(horizon_s) {
             let t = SimTime::from_secs(sec);
-            for (i, &v) in vehicles.iter().enumerate() {
-                for &b in &bs {
-                    if find(&mut parent, v.index()) == find(&mut parent, b.index()) {
-                        continue;
-                    }
-                    if link.slow_prob(b, v, t) > 0.0 || link.slow_prob(v, b, t) > 0.0 {
-                        union(&mut parent, v.index(), b.index());
+            let contacts = link.contacts(sec);
+            // Clusters: a candidate pair not yet joined joins when either
+            // direction is above zero. Fixed infrastructure does not move,
+            // so basestation pairs are sampled at t = 0 only.
+            if sec < cluster_s && comps.parts > 1 {
+                for (a, b) in contacts.pairs() {
+                    let sampled = sec == 0 || self.activity_link(a, b).is_some();
+                    if sampled
+                        && !comps.same(a, b)
+                        && (link.slow_prob(a, b, t) > 0.0 || link.slow_prob(b, a, t) > 0.0)
+                    {
+                        comps.union(a, b);
                     }
                 }
-                for &w in &vehicles[i + 1..] {
-                    if find(&mut parent, v.index()) == find(&mut parent, w.index()) {
+            }
+            // Loads: a vehicle and the first basestation covering it both
+            // count the second; basestations still uncounted look for a
+            // covering vehicle of their own.
+            if let Some(min_prob) = loads.filter(|_| sec < lap_s) {
+                let covers = |b: NodeId, v: NodeId| link.slow_prob(b, v, t) > min_prob;
+                for &v in &vehicles {
+                    let first = contacts
+                        .candidates(v)
+                        .iter()
+                        .find(|&&b| is(b, NodeKind::Basestation) && covers(b, v));
+                    for node in first.into_iter().flat_map(|&b| [v, b]) {
+                        if counted[node.index()] != sec {
+                            counted[node.index()] = sec;
+                            covered[node.index()] += 1;
+                        }
+                    }
+                }
+                for &b in &bs {
+                    if counted[b.index()] != sec
+                        && contacts
+                            .candidates(b)
+                            .iter()
+                            .any(|&v| is(v, NodeKind::Vehicle) && covers(b, v))
+                    {
+                        counted[b.index()] = sec;
+                        covered[b.index()] += 1;
+                    }
+                }
+            }
+            // Activity, attributed to the pair's vehicle receiver. Within
+            // the sampled lap an active pair was just joined, so it lies
+            // inside one cluster; past it, only pairs inside one cluster
+            // count. A cluster already marked this second needs no more
+            // evidence.
+            if sec < horizon_s {
+                for (a, b) in contacts.pairs() {
+                    let Some((tx, rx)) = self.activity_link(a, b) else {
+                        continue;
+                    };
+                    if marked(&active[a.index()], sec)
+                        || marked(&active[b.index()], sec)
+                        || (sec >= cluster_s && !comps.same(a, b))
+                    {
                         continue;
                     }
-                    if link.slow_prob(v, w, t) > 0.0 || link.slow_prob(w, v, t) > 0.0 {
-                        union(&mut parent, v.index(), w.index());
+                    if link.slow_prob(tx, rx, t) > 0.0 {
+                        mark(&mut active[rx.index()], sec);
                     }
                 }
             }
@@ -403,15 +430,151 @@ impl Scenario {
         let mut by_root: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
         for node in &self.nodes {
             by_root
-                .entry(find(&mut parent, node.id.index()))
+                .entry(comps.find(node.id))
                 .or_default()
                 .push(node.id);
         }
         // BTreeMap iteration gives roots in ascending order, and the root
         // is each component's smallest index, so clusters come out ordered
         // by smallest member with members already in id order.
-        by_root.into_values().collect()
+        let clusters: Vec<Vec<NodeId>> = by_root.into_values().collect();
+        let cluster_active = clusters
+            .iter()
+            .map(|members| {
+                let mut seconds: Vec<(u64, u64)> = members
+                    .iter()
+                    .flat_map(|m| active[m.index()].iter().copied())
+                    .collect();
+                seconds.sort_unstable();
+                dilate(seconds, margin_s, horizon_s)
+            })
+            .collect();
+        ContactAnalysis {
+            clusters,
+            bs_contact_seconds: self
+                .bs_ids()
+                .into_iter()
+                .map(|b| (b, covered[b.index()] + 1))
+                .collect(),
+            vehicle_contact_seconds: self
+                .vehicle_ids()
+                .into_iter()
+                .map(|v| (v, covered[v.index()]))
+                .collect(),
+            cluster_active,
+        }
     }
+}
+
+/// What one run's set-up needs from the contact structure, computed in
+/// one streaming pass by [`Scenario::contact_analysis`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ContactAnalysis {
+    /// The contact clusters ([`Scenario::contact_clusters`]).
+    pub clusters: Vec<Vec<NodeId>>,
+    /// Per basestation in id order, its lap contact seconds plus one
+    /// ([`Scenario::bs_contact_seconds`]).
+    pub bs_contact_seconds: Vec<(NodeId, u64)>,
+    /// Per vehicle in id order, its covered seconds per lap: the total
+    /// length of its [`Scenario::contact_windows`].
+    pub vehicle_contact_seconds: Vec<(NodeId, u64)>,
+    /// Per cluster in `clusters` order, its active ranges
+    /// ([`Scenario::cluster_active_seconds`] of its members).
+    pub cluster_active: Vec<Vec<(u64, u64)>>,
+}
+
+impl ContactAnalysis {
+    /// [`Scenario::shard_partition_by_contact`] from these vehicle
+    /// weights: each vehicle weighs its covered seconds plus one, and
+    /// vehicles go heaviest-first (ties by id) onto the lightest shard.
+    pub fn shard_partition(&self, shards: usize) -> Vec<Vec<NodeId>> {
+        assert!(shards >= 1, "need at least one shard");
+        let mut weighted: Vec<(u64, NodeId)> = self
+            .vehicle_contact_seconds
+            .iter()
+            .map(|&(v, covered)| (covered + 1, v))
+            .collect();
+        // Heaviest first; ties by id so the plan is reproducible.
+        weighted.sort_by_key(|&(w, v)| (std::cmp::Reverse(w), v));
+        let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); shards];
+        let mut loads = vec![0u64; shards];
+        for (w, v) in weighted {
+            let lightest = (0..shards)
+                .min_by_key(|&s| (loads[s], s))
+                .expect(">=1 shard");
+            loads[lightest] += w;
+            groups[lightest].push(v);
+        }
+        groups
+    }
+}
+
+/// Union-find over node indices; every root is its component's smallest
+/// index, so the structure does not depend on the order of unions.
+struct Components {
+    parent: Vec<usize>,
+    /// Number of components.
+    parts: usize,
+}
+
+impl Components {
+    fn new(n: usize) -> Self {
+        Components {
+            parent: (0..n).collect(),
+            parts: n,
+        }
+    }
+
+    fn find(&mut self, n: NodeId) -> usize {
+        let parent = &mut self.parent;
+        let mut x = n.index();
+        while parent[x] != x {
+            parent[x] = parent[parent[x]]; // path halving
+            x = parent[x];
+        }
+        x
+    }
+
+    fn same(&mut self, a: NodeId, b: NodeId) -> bool {
+        self.find(a) == self.find(b)
+    }
+
+    fn union(&mut self, a: NodeId, b: NodeId) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            self.parent[ra.max(rb)] = ra.min(rb);
+            self.parts -= 1;
+        }
+    }
+}
+
+/// Add second `sec` to run-length `[start, end)` ranges built in
+/// ascending order (a second already present is a no-op).
+fn mark(ranges: &mut Vec<(u64, u64)>, sec: u64) {
+    match ranges.last_mut() {
+        Some(last) if last.1 >= sec => last.1 = last.1.max(sec + 1),
+        _ => ranges.push((sec, sec + 1)),
+    }
+}
+
+/// Whether the last of `ranges` (built by [`mark`]) ends with `sec`.
+fn marked(ranges: &[(u64, u64)], sec: u64) -> bool {
+    ranges.last().is_some_and(|r| r.1 == sec + 1)
+}
+
+/// Dilate active-second ranges (sorted by start) by ±`margin_s`, capped
+/// at the horizon, and merge them into sorted, disjoint ranges.
+fn dilate(seconds: Vec<(u64, u64)>, margin_s: u64, horizon_s: u64) -> Vec<(u64, u64)> {
+    let mut ranges: Vec<(u64, u64)> = Vec::new();
+    for (start, end) in seconds {
+        let lo = start.saturating_sub(margin_s);
+        let hi = (end + margin_s).min(horizon_s.max(1));
+        match ranges.last_mut() {
+            Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
+            _ => ranges.push((lo, hi)),
+        }
+    }
+    ranges
 }
 
 #[cfg(test)]

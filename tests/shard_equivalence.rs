@@ -432,6 +432,70 @@ fn metro_coupled_outcome_is_invariant_to_worker_count() {
     }
 }
 
+/// The sequential run and `run_sharded` at 1, 2 and 4 shards agree bit
+/// for bit.
+fn assert_identical_at_shards_1_2_4(name: &str, scenario: &Scenario, cfg: RunConfig) {
+    let sequential = Simulation::deployment(scenario, cfg.clone())
+        .run()
+        .fingerprint();
+    for shards in [1usize, 2, 4] {
+        let fp = Simulation::run_sharded(
+            scenario,
+            RunConfig {
+                shards,
+                ..cfg.clone()
+            },
+        )
+        .fingerprint();
+        assert_eq!(fp, sequential, "{name} shards {shards}");
+    }
+}
+
+#[test]
+fn one_bs_scenario_is_bit_identical_at_shards_1_2_4() {
+    // A fleet served by a single basestation (the busiest of the lap):
+    // every contact list holds at most one BS.
+    let full = vanlan(8);
+    let link = full.build_link_model(&vifi::sim::Rng::new(1));
+    let (busiest, _) = full
+        .bs_contact_seconds(&link, 0.1)
+        .into_iter()
+        .max_by_key(|&(b, w)| (w, std::cmp::Reverse(b)))
+        .expect("vanlan has basestations");
+    let (scenario, _) = full.with_bs_subset(&[busiest]);
+    for seed in [31u64, 32] {
+        let cfg = fleet_cfg(seed, 1, 20);
+        let out = Simulation::deployment(&scenario, cfg.clone()).run();
+        assert!(out.frames_tx > 0, "the lone BS must see traffic");
+        assert_identical_at_shards_1_2_4("one BS", &scenario, cfg);
+    }
+}
+
+#[test]
+fn idle_fleet_is_bit_identical_at_shards_1_2_4() {
+    // No vehicle carries traffic: only beacons cross the barriers.
+    let scenario = vanlan(8);
+    for seed in [33u64, 34] {
+        let cfg = RunConfig {
+            fleet_workloads: vec![WorkloadSpec::Idle],
+            ..fleet_cfg(seed, 1, 20)
+        };
+        assert_identical_at_shards_1_2_4("idle fleet", &scenario, cfg);
+    }
+}
+
+#[test]
+fn mid_second_horizon_is_bit_identical_at_shards_1_2_4() {
+    // The run ends halfway through a second of the contact atlas.
+    for (name, scenario) in fleet_scenarios() {
+        let cfg = RunConfig {
+            duration: SimDuration::from_millis(7_500),
+            ..fleet_cfg(35, 1, 8)
+        };
+        assert_identical_at_shards_1_2_4(name, &scenario, cfg);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
