@@ -16,10 +16,14 @@
 //! `--runs N` measures the whole suite N times and keeps each bench's
 //! minimum — repeats are separated by the rest of the suite, so a
 //! contention burst on a shared host (CI runners included) has to recur
-//! in every pass to pollute a number.
+//! in every pass to pollute a number. An unknown flag, a flag without
+//! its value, or a `--runs` value that is not a positive integer prints
+//! the usage lines and exits 2.
 //!
 //! Compare two snapshots with the `bench_compare` bin; CI gates every PR
 //! on `bench_compare BENCH_baseline.json BENCH_current.json`.
+
+use std::process::ExitCode;
 
 use bytes::Bytes;
 use vifi_bench::harness::{BenchConfig, Harness};
@@ -40,22 +44,20 @@ use vifi_runtime::{
 use vifi_sim::{EventQueue, Rng, SimDuration, SimTime};
 use vifi_testbeds::{dieselnet_fleet, metro, vanlan};
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    let (name, runs) = match parse_flags(&args[1..]) {
+        Ok(flags) => flags,
+        Err(msg) => {
+            eprintln!("bench_json: {msg}");
+            eprintln!("usage: bench_json [--name NAME] [--runs N] [--short]");
+            eprintln!("  --name  snapshot file BENCH_<NAME>.json (default: current)");
+            eprintln!("  --runs  passes over the suite, N >= 1, merged by minimum (default: 1)");
+            eprintln!("  --short CI fidelity (also VIFI_BENCH_SHORT=1)");
+            return ExitCode::from(2);
+        }
+    };
     let cfg = BenchConfig::from_env(&args);
-    let name = args
-        .iter()
-        .position(|a| a == "--name")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "current".to_string());
-    let runs: u32 = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
 
     println!(
         "vifi-bench snapshot ({} mode, {runs} run{})",
@@ -75,6 +77,38 @@ fn main() {
     let json = serde_json::to_string_pretty(&h.to_json()).expect("serialize snapshot");
     std::fs::write(&path, json + "\n").expect("write snapshot");
     println!("[saved {path}]");
+    ExitCode::SUCCESS
+}
+
+/// Parse the arguments after the program name into the snapshot name
+/// and the number of passes: `--name NAME`, `--runs N` with `N >= 1`,
+/// and `--short` (read again by [`BenchConfig::from_env`]). An unknown
+/// flag, a flag without its value or a run count that is not a positive
+/// integer is an error.
+fn parse_flags(args: &[String]) -> Result<(String, u32), String> {
+    let (mut name, mut runs) = ("current".to_string(), 1);
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--short" => {}
+            "--name" => name = value()?.clone(),
+            "--runs" => {
+                let v = value()?;
+                runs = v
+                    .parse()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(|| format!("bad value for --runs: {v:?}"))?;
+            }
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    Ok((name, runs))
 }
 
 /// The hot-path suite. Names are the compare keys — keep them stable.
@@ -258,11 +292,11 @@ fn bench_fleet_sharded(h: &mut Harness) {
         .0
         .events
     });
-    // A city-scale coupled run: 64 vans through the parallel
-    // audibility-partitioned barrier (collect → probe → split → place →
-    // merge each epoch). Tracks the partitioner and group-placement cost
-    // per event at the batch sizes a dense fleet actually produces —
-    // where a regression in the PR 7 barrier machinery would land.
+    // A city-scale coupled run: 64 vans through the barrier pipeline
+    // (collect → probe → place → resolve each epoch). Tracks the probe
+    // and placement cost per event at the batch sizes a dense fleet
+    // actually produces — where a regression in the barrier machinery
+    // would land.
     let city = vanlan(64);
     let city_cfg = RunConfig {
         fleet_workloads: vec![WorkloadSpec::paper_cbr()],
@@ -460,4 +494,36 @@ fn bench_sessions(h: &mut Harness) {
     h.bench("slot_series_sessions_60k", || {
         ss.sessions(std::hint::black_box(def))
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn flags_parse_and_reject_bad_values() {
+        let flags = |line: &str| parse_flags(&args(line));
+        assert_eq!(flags(""), Ok(("current".into(), 1)));
+        assert_eq!(flags("--short --runs 5"), Ok(("current".into(), 5)));
+        assert_eq!(
+            flags("--name baseline --runs 3"),
+            Ok(("baseline".into(), 3))
+        );
+        for bad in [
+            "--runs abc",
+            "--runs 0",
+            "--runs -2",
+            "--runs",
+            "--name",
+            "--name --runs 2",
+            "--fast",
+            "baseline",
+        ] {
+            assert!(flags(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

@@ -22,8 +22,8 @@
 //!   epoch engine; `speedup_vs_sequential` is the sequential critical
 //!   path over each shard count's;
 //! * `city_coupled_scaling` — city-scale fleets (vanlan(64),
-//!   dieselnet_fleet(128)) at up to 16 shards, the regime the parallel
-//!   audibility-partitioned barrier targets;
+//!   dieselnet_fleet(128)) at up to 16 shards, where barrier batches
+//!   are largest;
 //! * `metro_coupled_scaling` — the multi-cluster `metro(4, 16, 42)`
 //!   scenario at the same shard counts, where clusters cross fine
 //!   barriers alone and route over the backplane only at coarse
@@ -47,8 +47,8 @@ const FLEET_SIZES: [u32; 4] = [2, 4, 8, 16];
 /// coupled run the speedups are measured against).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Shard counts for the city-scale coupled axis (PR 7's parallel
-/// audibility-partitioned barrier is sized for these fleets).
+/// Shard counts for the city-scale coupled axis (the fleets with the
+/// largest barrier batches).
 const CITY_SHARD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// Fault-intensity grid for the robustness axis (0 = healthy baseline).
@@ -502,8 +502,8 @@ fn main() {
         coupled_scaling("DieselNet-Fleet", &diesel_big, duration, &SHARD_COUNTS),
     ];
     // City-scale axis: 64/128-vehicle fleets at up to 16 shards — what the
-    // parallel audibility-partitioned barrier buys. The fleets are heavy,
-    // hence the shorter horizon.
+    // parallel barrier (probes on the worker pool) buys. The fleets are
+    // heavy, hence the shorter horizon.
     let city_duration = SimDuration::from_secs(60 * scale.laps.max(1) as u64);
     let city_scaling_json = vec![
         coupled_scaling(

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 
 use vifi_metrics::{mean_ci95, sessions_from_ratios, SessionDef};
 use vifi_runtime::{CoupledTiming, RunConfig, RunOutcome, Simulation, WorkloadSpec};
-use vifi_sim::{SimDuration, SimTime};
+use vifi_sim::SimDuration;
 use vifi_testbeds::{BeaconTrace, Scenario};
 
 pub use vifi_core::VifiConfig;
@@ -238,8 +238,10 @@ pub struct CoupledScalingRow {
     /// Per-shard wall-clock, ms, in shard order (epoch execution plus
     /// reception resolution — the work a dedicated core would bear).
     pub per_shard_wall_ms: Vec<f64>,
-    /// Serial coordinator wall-clock, ms (placement, backplane batches,
-    /// message routing) — on every critical path regardless of cores.
+    /// Serial coordinator wall-clock, ms (backplane batches, message
+    /// routing, and the leader phases — collect, placement, frame ops —
+    /// of clusters spread over several shards) — on every critical path
+    /// regardless of cores.
     pub serial_ms: f64,
     /// `serial_ms + max(per_shard_wall_ms)`: the run's wall-clock once
     /// every shard has its own core.
@@ -261,7 +263,7 @@ impl CoupledScalingRow {
             .map(|d| d.as_secs_f64() * 1e3)
             .collect();
         let serial_ms = timing.serial.as_secs_f64() * 1e3;
-        let critical = serial_ms + per_shard.iter().copied().fold(0.0f64, f64::max);
+        let critical = timing.critical_path().as_secs_f64() * 1e3;
         CoupledScalingRow {
             shards,
             per_shard_wall_ms: per_shard,
@@ -443,21 +445,6 @@ pub fn median_session_secs(ratios_1s: &[f64], interval: SimDuration, min_ratio: 
         .as_secs_f64()
 }
 
-/// Sub-second session analysis straight from slot ratios.
-pub fn median_session_secs_subsecond(
-    ratios_at: &[f64],
-    interval: SimDuration,
-    min_ratio: f64,
-) -> f64 {
-    let def = SessionDef {
-        interval,
-        min_ratio,
-    };
-    sessions_from_ratios(ratios_at, def)
-        .median_time_weighted()
-        .as_secs_f64()
-}
-
 // ---------------------------------------------------------------------
 // Output helpers
 // ---------------------------------------------------------------------
@@ -576,11 +563,6 @@ pub fn banner(name: &str, scale: &Scale) {
         scale.seeds,
         if scale.full { ", FULL" } else { "" }
     );
-}
-
-/// Format a SimTime axis label.
-pub fn fmt_t(t: SimTime) -> String {
-    format!("{:.0}s", t.as_secs_f64())
 }
 
 #[cfg(test)]

@@ -36,11 +36,6 @@ impl HistoryDb {
         }
     }
 
-    /// Default 25 m grid.
-    pub fn with_default_grid(bs_count: usize) -> Self {
-        Self::new(bs_count, 25.0)
-    }
-
     fn cell(&self, p: Point) -> (i64, i64) {
         (
             (p.x / self.cell_m).floor() as i64,

@@ -234,11 +234,6 @@ impl FrameWriter {
         self.buf.put_u64_le(v);
     }
 
-    /// Append an f64 by its IEEE-754 bit pattern (exact round-trip).
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_u64_le(v.to_bits());
-    }
-
     /// Append raw bytes.
     pub fn put_slice(&mut self, s: &[u8]) {
         self.buf.put_slice(s);

@@ -36,6 +36,5 @@ pub use frame::{
     Frame, FrameReader, FrameWriter, MacParams, WireFrame, WirePayload, WIRE_HEADER_LEN,
 };
 pub use medium::{
-    PartitionProbes, PlacedGroup, Placement, PlacementGroup, Reception, ResolvableTx,
-    SharedMediumService, TxHandle, TxRequest,
+    AudibilityProbes, Placement, Reception, ResolvableTx, SharedMediumService, TxHandle, TxRequest,
 };

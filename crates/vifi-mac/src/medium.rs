@@ -9,17 +9,37 @@
 //! The medium is therefore split:
 //!
 //! * [`kernel`] — pure decision functions over immutable transmission
-//!   windows: carrier-sense horizon, half-duplex veto, hidden-terminal
-//!   collision veto, per-receiver reception sampling. Nothing here owns
-//!   state; a shard can evaluate its own nodes' receptions with no lock.
+//!   windows: half-duplex veto, hidden-terminal collision veto,
+//!   per-receiver reception sampling. Nothing here owns state; a shard
+//!   can evaluate its own nodes' receptions with no lock.
 //! * [`SharedMediumService`] — owns the *global* transmission state (the
 //!   live window set, per-node backoff streams, the tx counter) and
 //!   processes transmission requests in **time-windowed batches**: one
-//!   canonically-sorted [`SharedMediumService::place_batch`] per epoch
-//!   instead of per-frame locking. Placement applies carrier sense, DIFS
-//!   and slotted backoff against the full global window set, so contention
+//!   canonically-sorted [`SharedMediumService::place`] per epoch instead
+//!   of per-frame locking. Placement applies carrier sense, DIFS and
+//!   slotted backoff against the full global window set, so contention
 //!   between co-located vehicles (deferral, collisions, hidden terminals)
 //!   is preserved no matter how many shards feed the service.
+//!
+//! ## One placement pass
+//!
+//! A barrier places its batch in three steps:
+//!
+//! 1. [`SharedMediumService::plan_probes`] lists every carrier-sense
+//!    question placement can ask as a directed `(tx, rx)` pair: both
+//!    directions between two senders, and each still-live window's
+//!    source toward each sender — restricted to contact candidates.
+//! 2. The caller answers each probe with [`AudibilityProbes::eval`], one
+//!    pure `quality_hint` read at the barrier instant; a worker pool can
+//!    answer disjoint ranges concurrently.
+//! 3. [`SharedMediumService::place`] walks the batch in canonical
+//!    `(t_req, src)` order and reads each verdict from the answers.
+//!
+//! Placement is therefore window arithmetic and needs no link model. It
+//! is exact: every pair the carrier-sense scan can ask about is planned
+//! unless it is not a contact candidate, and such a pair's quality is
+//! `0.0`, which a non-negative `sense_threshold` (checked by
+//! [`MacParams::validate`]) never counts as audible.
 //!
 //! ## Epoch-batched semantics
 //!
@@ -83,7 +103,7 @@ pub struct TxRequest<P> {
     pub t_req: SimTime,
 }
 
-/// Airtime window assigned to a request by [`SharedMediumService::place_batch`].
+/// Airtime window assigned to a request by [`SharedMediumService::place`].
 #[derive(Clone, Copy, Debug)]
 pub struct Placement {
     /// Handle of the placed transmission.
@@ -112,46 +132,11 @@ pub struct ResolvableTx<P> {
     pub overlapping: Vec<(NodeId, SimTime, SimTime)>,
 }
 
-/// The pure per-node decision kernel: every MAC verdict as a function of
-/// immutable window snapshots. See the module docs for how the service
-/// batches around these.
+/// The pure per-node decision kernel: every reception verdict as a
+/// function of immutable window snapshots. See the module docs for how
+/// the service batches around these.
 pub mod kernel {
     use super::*;
-
-    /// One live airtime window (the kernel's view of a transmission).
-    #[derive(Clone, Copy, Debug)]
-    pub struct TxWindow {
-        /// Transmitting node.
-        pub src: NodeId,
-        /// Airtime start.
-        pub start: SimTime,
-        /// Airtime end.
-        pub end: SimTime,
-    }
-
-    /// Carrier sense: the earliest instant `src` believes the medium free,
-    /// never before `floor`. A window is audible if its slow-scale quality
-    /// toward `src` exceeds `sense_threshold`; windows ending at or before
-    /// `floor` are already over and cannot defer anyone.
-    pub fn free_at(
-        windows: &[TxWindow],
-        src: NodeId,
-        floor: SimTime,
-        link: &dyn LinkModel,
-        sense_threshold: f64,
-    ) -> SimTime {
-        let mut free = floor;
-        for w in windows {
-            if w.end > floor
-                && w.src != src
-                && w.end > free
-                && link.quality_hint(w.src, src, floor) > sense_threshold
-            {
-                free = w.end;
-            }
-        }
-        free
-    }
 
     /// Half-duplex veto: a node that was itself transmitting during the
     /// frame's window hears nothing.
@@ -206,22 +191,6 @@ pub mod kernel {
             None
         }
     }
-
-    /// Resolve every receiver of a transmission against one link model —
-    /// the single-threaded convenience path (tests, non-sharded tools).
-    /// Receivers are visited in the model's node order, matching what a
-    /// sharded run produces after its canonical merge.
-    pub fn resolve_receptions<P>(
-        link: &mut dyn LinkModel,
-        tx: &ResolvableTx<P>,
-        sense_threshold: f64,
-    ) -> Vec<Reception> {
-        let nodes: Vec<NodeId> = link.nodes().iter().map(|&(id, _)| id).collect();
-        nodes
-            .into_iter()
-            .filter_map(|rx| sample_reception(link, tx, rx, sense_threshold))
-            .collect()
-    }
 }
 
 struct Transmission<P> {
@@ -232,149 +201,37 @@ struct Transmission<P> {
     resolved: bool,
 }
 
-/// The directed audibility probes that determine one batch's partition,
-/// planned by [`SharedMediumService::partition_probes`]. Each probe is a
-/// single pure `LinkModel::quality_hint` evaluation at the barrier
-/// instant; probes are independent of each other and of all simulation
-/// state, so a worker pool can evaluate disjoint ranges concurrently
-/// (with any link-model instance built from the run's configuration) and
-/// hand the boolean results back to
-/// [`SharedMediumService::split_batch_resolved`].
-pub struct PartitionProbes {
-    /// Node universe: the batch's unique senders first, then sources of
-    /// still-live windows (each node once).
-    nodes: Vec<NodeId>,
-    /// `(a, b, tx, rx)`: evaluating `quality_hint(tx, rx, at) > sense`
-    /// decides whether universe nodes `a` and `b` join one component.
-    probes: Vec<(usize, usize, NodeId, NodeId)>,
-    /// Length of the sender prefix of `nodes`. Both the sender prefix and
-    /// the live-source suffix are sorted by label, so node→index lookups
-    /// are two binary searches instead of a linear scan.
-    n_senders: usize,
+/// The carrier-sense questions one batch's placement can ask, planned by
+/// [`SharedMediumService::plan_probes`]. Each probe is a directed
+/// `(tx, rx)` pair answered by one pure `LinkModel::quality_hint`
+/// evaluation at the barrier instant; probes are independent of each
+/// other and of all simulation state, so a worker pool can evaluate
+/// disjoint ranges concurrently (with any link-model instance built from
+/// the run's configuration) and hand the answers to
+/// [`SharedMediumService::place`].
+pub struct AudibilityProbes {
+    /// `(tx, rx)`: is `tx` audible to `rx` at the barrier instant?
+    pairs: Vec<(NodeId, NodeId)>,
 }
 
-impl PartitionProbes {
+impl AudibilityProbes {
     /// Number of probes to evaluate.
     pub fn len(&self) -> usize {
-        self.probes.len()
+        self.pairs.len()
     }
 
-    /// True when no pair needs a probe (one sender, or no two nodes in
-    /// contact).
+    /// True when no pair needs a probe (one sender and no live window in
+    /// contact with it, or no two nodes in contact).
     pub fn is_empty(&self) -> bool {
-        self.probes.is_empty()
+        self.pairs.is_empty()
     }
 
     /// Evaluate probe `k`: is its transmitter audible to its receiver at
     /// `at` under `sense_threshold`? Pure; any instance of the run's link
     /// model gives the same answer.
     pub fn eval(&self, k: usize, at: SimTime, link: &dyn LinkModel, sense_threshold: f64) -> bool {
-        let (_, _, tx, rx) = self.probes[k];
+        let (tx, rx) = self.pairs[k];
         link.quality_hint(tx, rx, at) > sense_threshold
-    }
-}
-
-/// One audibility-independent slice of an epoch batch, produced by
-/// [`SharedMediumService::split_batch`]: the group's requests (with their
-/// canonical batch indices), the live windows its senders can sense, and
-/// the senders' own backoff streams, moved out of the service so the
-/// group can be placed on any thread. No sender in this group can sense
-/// any window or sender outside it at the barrier instant, so placing
-/// groups in any order — or concurrently — reproduces
-/// [`SharedMediumService::place_batch`] bit for bit once the results are
-/// merged back in canonical order.
-pub struct PlacementGroup<P> {
-    /// `(canonical batch index, request)`, ascending by index.
-    requests: Vec<(usize, TxRequest<P>)>,
-    /// Live windows whose source belongs to this group's component.
-    windows: Vec<kernel::TxWindow>,
-    /// Per-sender backoff streams, moved out of the service.
-    backoff: Vec<(NodeId, Rng)>,
-    /// Directed audibility verdicts `(tx, rx)` inside this component at
-    /// the barrier instant — the partition probes already answered every
-    /// `quality_hint` question the group's carrier-sense scan can ask
-    /// (window sources and senders are all component members), so
-    /// placement itself needs no link model at all.
-    audible: Vec<(NodeId, NodeId)>,
-    /// The request at canonical index `i` gets handle `handle_base + i` —
-    /// exactly the handle serial placement would have assigned it.
-    handle_base: u64,
-    params: MacParams,
-}
-
-/// The output of [`PlacementGroup::place`], ready for
-/// [`SharedMediumService::merge_placed`].
-pub struct PlacedGroup<P> {
-    transmissions: Vec<(usize, Transmission<P>)>,
-    placements: Vec<(usize, Placement)>,
-    backoff: Vec<(NodeId, Rng)>,
-}
-
-impl<P: Clone> PlacementGroup<P> {
-    /// Number of requests in the group.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// True when the group holds no requests.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// Place this group's requests: the same carrier-sense / DIFS /
-    /// backoff loop as [`SharedMediumService::place_batch`], restricted to
-    /// the group's own windows. Pure with respect to the service (the
-    /// group owns every mutable stream it needs) and link-free: the
-    /// carrier-sense verdicts [`kernel::free_at`] would have asked
-    /// `quality_hint` for were all answered by the partition probes at
-    /// the same instant, so this is window arithmetic only — runnable on
-    /// any worker thread.
-    pub fn place(mut self, at: SimTime) -> PlacedGroup<P> {
-        let mut transmissions = Vec::with_capacity(self.requests.len());
-        let mut placements = Vec::with_capacity(self.requests.len());
-        let cw = self.params.cw_slots;
-        for (idx, req) in self.requests {
-            let src = req.frame.src;
-            // `kernel::free_at` with the quality-hint filter replaced by
-            // the probe answers — same windows, same instant, same
-            // verdicts, bit-identical free instant.
-            let mut free = at;
-            for w in &self.windows {
-                if w.end > at
-                    && w.src != src
-                    && w.end > free
-                    && self.audible.contains(&(w.src, src))
-                {
-                    free = w.end;
-                }
-            }
-            let draw = self
-                .backoff
-                .iter_mut()
-                .find(|(n, _)| *n == src)
-                .map(|(_, r)| r.below(cw))
-                .expect("split_batch moves every sender's backoff stream into its group");
-            let start = free + self.params.difs + self.params.slot * draw;
-            let end = start + self.params.airtime(req.frame.size_bytes);
-            let handle = TxHandle(self.handle_base + idx as u64);
-            self.windows.push(kernel::TxWindow { src, start, end });
-            transmissions.push((
-                idx,
-                Transmission {
-                    handle,
-                    frame: req.frame,
-                    start,
-                    end,
-                    resolved: false,
-                },
-            ));
-            placements.push((idx, Placement { handle, start, end }));
-        }
-        PlacedGroup {
-            transmissions,
-            placements,
-            backoff: self.backoff,
-        }
     }
 }
 
@@ -393,7 +250,7 @@ pub struct SharedMediumService<P> {
     /// forked lazily from the root by node id — a node's draws depend only
     /// on how many frames *it* sent, which is what makes placement
     /// independent of shard interleaving. A sender's stream is `None`
-    /// before its first frame and while its placement group holds it.
+    /// before its first frame.
     backoff: Vec<Option<Rng>>,
     /// Count of frames put on the air (for efficiency accounting).
     pub tx_count: u64,
@@ -430,70 +287,117 @@ impl<P: Clone> SharedMediumService<P> {
         &self.params
     }
 
-    fn backoff_draw(&mut self, node: NodeId) -> u64 {
-        let cw = self.params.cw_slots;
-        let mut stream = self.take_backoff(node);
-        let draw = stream.below(cw);
-        self.put_backoff(node, stream);
-        draw
-    }
-
-    /// Take `node`'s backoff stream out of the table, forking it from the
+    /// One slotted-backoff draw from `node`'s stream, forked from the
     /// root on the node's first frame.
-    fn take_backoff(&mut self, node: NodeId) -> Rng {
-        self.backoff
-            .get_mut(node.index())
-            .and_then(Option::take)
-            .unwrap_or_else(|| self.backoff_root.fork(node.label()))
-    }
-
-    /// Return `node`'s backoff stream to the table.
-    fn put_backoff(&mut self, node: NodeId, stream: Rng) {
+    fn backoff_draw(&mut self, node: NodeId) -> u64 {
         if self.backoff.len() <= node.index() {
             self.backoff.resize_with(node.index() + 1, || None);
         }
-        self.backoff[node.index()] = Some(stream);
+        let root = &self.backoff_root;
+        self.backoff[node.index()]
+            .get_or_insert_with(|| root.fork(node.label()))
+            .below(self.params.cw_slots)
     }
 
-    fn windows(&self) -> Vec<kernel::TxWindow> {
-        self.live
+    /// Plan the audibility probes one epoch's batch needs at barrier
+    /// instant `at`: every carrier-sense question [`Self::place`] can ask.
+    /// Between two senders either direction matters (one defers behind
+    /// the other's new window); a still-live window matters only in the
+    /// window→sender direction (live sources place nothing). Windows
+    /// ending at or before `at` are already over and probe nothing. Every
+    /// placement floors at `at`, so audibility evaluated at `at` is
+    /// exactly the audibility placement sees.
+    ///
+    /// Only pairs that are candidates of each other in `contacts` (the
+    /// link model's lists for `at`'s second) are planned. Any other
+    /// pair's `quality_hint` is `0.0`, and with a non-negative
+    /// `sense_threshold` (checked in [`Self::new`]) a skipped probe would
+    /// have answered "not audible".
+    pub fn plan_probes(
+        &self,
+        requests: &[TxRequest<P>],
+        at: SimTime,
+        contacts: &ContactSecond,
+    ) -> AudibilityProbes {
+        debug_assert_eq!(
+            contacts.second(),
+            at.second_bin(),
+            "contacts of another second"
+        );
+        let mut senders: Vec<NodeId> = requests.iter().map(|r| r.frame.src).collect();
+        senders.sort_unstable();
+        senders.dedup();
+        let mut lives: Vec<NodeId> = self
+            .live
             .iter()
-            .map(|t| kernel::TxWindow {
-                src: t.frame.src,
-                start: t.start,
-                end: t.end,
-            })
-            .collect()
+            .filter(|t| t.end > at)
+            .map(|t| t.frame.src)
+            .collect();
+        lives.sort_unstable();
+        lives.dedup();
+        lives.retain(|l| senders.binary_search(l).is_err());
+        let mut pairs = Vec::new();
+        for (i, &a) in senders.iter().enumerate() {
+            for &b in &senders[i + 1..] {
+                if contacts.contains(a, b) {
+                    pairs.push((a, b));
+                    pairs.push((b, a));
+                }
+            }
+        }
+        for &l in &lives {
+            for &s in &senders {
+                if contacts.contains(l, s) {
+                    pairs.push((l, s));
+                }
+            }
+        }
+        AudibilityProbes { pairs }
     }
 
-    /// Place one epoch's transmission requests at barrier instant `at`.
+    /// Place one epoch's transmission requests at barrier instant `at`,
+    /// given `probes` from [`Self::plan_probes`] for the same batch and
+    /// instant and `audible[k]`, the answer to probe `k`.
     ///
     /// `requests` must be sorted by `(t_req, src)` — the canonical arrival
     /// order; senders earlier in the batch win contention, and later ones
     /// that can hear them defer behind their windows. Every start is
     /// floored at `at` (a request never airs before the epoch edge) and
     /// gets DIFS plus a slotted backoff from the sender's own stream.
-    pub fn place_batch(
+    pub fn place(
         &mut self,
         requests: Vec<TxRequest<P>>,
         at: SimTime,
-        link: &dyn LinkModel,
+        probes: &AudibilityProbes,
+        audible: &[bool],
     ) -> Vec<Placement> {
         debug_assert!(
             requests
                 .windows(2)
-                .all(|w| (w[0].t_req, w[0].frame.src.label())
-                    <= (w[1].t_req, w[1].frame.src.label())),
+                .all(|w| (w[0].t_req, w[0].frame.src) <= (w[1].t_req, w[1].frame.src)),
             "requests must arrive in canonical (t_req, src) order"
         );
+        assert_eq!(audible.len(), probes.len(), "one answer per probe");
+        let mut heard: Vec<(NodeId, NodeId)> = probes
+            .pairs
+            .iter()
+            .zip(audible)
+            .filter_map(|(&pair, &yes)| yes.then_some(pair))
+            .collect();
+        heard.sort_unstable();
         let mut placements = Vec::with_capacity(requests.len());
-        // One window snapshot for the whole batch, extended as placements
-        // land — the carrier-sense scan is the serial coordinator work
-        // that bounds coupled scaling, so no per-request rebuilds.
-        let mut windows = self.windows();
         for req in requests {
             let src = req.frame.src;
-            let free = kernel::free_at(&windows, src, at, link, self.params.sense_threshold);
+            // Carrier sense: defer past every other window `src` hears,
+            // this batch's earlier placements included. A window over by
+            // `at` defers no one.
+            let free = self
+                .live
+                .iter()
+                .filter(|t| t.end > at && t.frame.src != src)
+                .filter(|t| heard.binary_search(&(t.frame.src, src)).is_ok())
+                .map(|t| t.end)
+                .fold(at, SimTime::max);
             let start = free + self.params.difs + self.params.slot * self.backoff_draw(src);
             let end = start + self.params.airtime(req.frame.size_bytes);
             let handle = TxHandle(self.next_handle);
@@ -506,301 +410,17 @@ impl<P: Clone> SharedMediumService<P> {
                 end,
                 resolved: false,
             });
-            windows.push(kernel::TxWindow { src, start, end });
             placements.push(Placement { handle, start, end });
         }
         placements
     }
 
-    /// Plan the audibility probes whose answers partition one epoch's
-    /// batch at barrier instant `at`. The probe set is the carrier-sense
-    /// relation [`kernel::free_at`] evaluates, restricted to the pairs
-    /// that can matter: between two senders either direction couples
-    /// their placements (one defers behind the other's new window), and a
-    /// live window couples to a sender only in the window→sender
-    /// direction (live sources place nothing). Windows ending at or
-    /// before `at` are already over and probe nothing. Every batch
-    /// placement floors at `at`, so audibility evaluated at `at` is
-    /// exactly the audibility placement will see.
-    ///
-    /// Only pairs that are candidates of each other in `contacts` (the
-    /// link model's lists for `at`'s second) are planned. Any other
-    /// pair's `quality_hint` is `0.0`, and with a non-negative
-    /// `sense_threshold` (checked in [`Self::new`]) a skipped probe would
-    /// have answered "not audible" — the union-find, the groups and each
-    /// group's audible pairs are exactly those of the full plan.
-    pub fn partition_probes(
-        &self,
-        requests: &[TxRequest<P>],
-        at: SimTime,
-        contacts: &ContactSecond,
-    ) -> PartitionProbes {
-        debug_assert_eq!(
-            contacts.second(),
-            at.second_bin(),
-            "contacts of another second"
-        );
-        let mut senders: Vec<NodeId> = requests.iter().map(|r| r.frame.src).collect();
-        senders.sort_unstable_by_key(|n| n.label());
-        senders.dedup();
-        let n_senders = senders.len();
-        let mut nodes = senders;
-        let mut lives: Vec<NodeId> = self
-            .live
-            .iter()
-            .filter(|t| t.end > at)
-            .map(|t| t.frame.src)
-            .collect();
-        lives.sort_unstable_by_key(|n| n.label());
-        lives.dedup();
-        // `nodes` is the sorted sender list here, so exclusion is a
-        // binary search per live source rather than a linear scan.
-        lives.retain(|l| {
-            nodes
-                .binary_search_by_key(&l.label(), |n| n.label())
-                .is_err()
-        });
-        nodes.extend(lives);
-        let mut probes = Vec::new();
-        for a in 0..n_senders {
-            for b in (a + 1)..n_senders {
-                if contacts.contains(nodes[a], nodes[b]) {
-                    probes.push((a, b, nodes[a], nodes[b]));
-                    probes.push((a, b, nodes[b], nodes[a]));
-                }
-            }
-        }
-        for l in n_senders..nodes.len() {
-            for s in 0..n_senders {
-                if contacts.contains(nodes[l], nodes[s]) {
-                    probes.push((s, l, nodes[l], nodes[s]));
-                }
-            }
-        }
-        PartitionProbes {
-            nodes,
-            probes,
-            n_senders,
-        }
-    }
-
-    /// Partition one epoch's batch into audibility-independent groups of
-    /// canonical request indices (each group ascending, groups ordered by
-    /// smallest member). Two senders land in the same group when either
-    /// can sense the other at `at` — directly or through a chain of
-    /// audible senders / live windows (the symmetric-transitive closure
-    /// of the carrier-sense predicate, which is exactly what makes
-    /// cross-group windows irrelevant to placement).
-    pub fn partition_batch(
-        &self,
-        requests: &[TxRequest<P>],
-        at: SimTime,
-        link: &dyn LinkModel,
-    ) -> Vec<Vec<usize>> {
-        let probes = self.partition_probes(requests, at, &link.contacts(at.second_bin()));
-        let audible: Vec<bool> = (0..probes.len())
-            .map(|k| probes.eval(k, at, link, self.params.sense_threshold))
-            .collect();
-        let (groups, _, _) = self.components(requests, at, &probes, &audible);
-        groups
-    }
-
-    /// The partition core: union-find over the evaluated probes. Returns
-    /// the index groups, per group the indices into `self.live` of its
-    /// component's still-live windows (live sources audible to no sender
-    /// form senderless components and are dropped — their windows cannot
-    /// defer anyone), and per group the audible directed pairs among its
-    /// members. This runs on the serial coordinator path every epoch, so
-    /// node lookups are binary searches over the probe universe's two
-    /// sorted segments and the root→group map is a plain vector.
-    #[allow(clippy::type_complexity)]
-    fn components(
-        &self,
-        requests: &[TxRequest<P>],
-        at: SimTime,
-        probes: &PartitionProbes,
-        audible: &[bool],
-    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>, Vec<Vec<(NodeId, NodeId)>>) {
-        assert_eq!(audible.len(), probes.probes.len());
-        let nodes = &probes.nodes;
-        let n_senders = probes.n_senders;
-        let node_index = |id: NodeId| -> usize {
-            let label = id.label();
-            nodes[..n_senders]
-                .binary_search_by_key(&label, |n| n.label())
-                .or_else(|_| {
-                    nodes[n_senders..]
-                        .binary_search_by_key(&label, |n| n.label())
-                        .map(|i| i + n_senders)
-                })
-                .expect("node in partition universe")
-        };
-        let mut parent: Vec<usize> = (0..nodes.len()).collect();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
-        for (k, &(a, b, _, _)) in probes.probes.iter().enumerate() {
-            if audible[k] {
-                let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-                if ra != rb {
-                    parent[ra] = rb;
-                }
-            }
-        }
-        // Groups keyed by component root, ordered by smallest canonical
-        // request index — a deterministic order independent of how the
-        // union-find happened to pick roots.
-        const NO_GROUP: usize = usize::MAX;
-        let mut group_of_root: Vec<usize> = vec![NO_GROUP; nodes.len()];
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (idx, req) in requests.iter().enumerate() {
-            let root = find(&mut parent, node_index(req.frame.src));
-            if group_of_root[root] == NO_GROUP {
-                group_of_root[root] = groups.len();
-                groups.push(Vec::new());
-            }
-            groups[group_of_root[root]].push(idx);
-        }
-        let mut live_windows: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
-        for (i, t) in self.live.iter().enumerate() {
-            if t.end > at {
-                let root = find(&mut parent, node_index(t.frame.src));
-                let g = group_of_root[root];
-                if g != NO_GROUP {
-                    live_windows[g].push(i);
-                }
-            }
-        }
-        // Route each audible verdict to its component's group (every
-        // probe receiver is a sender, so an audible probe's component
-        // always carries requests).
-        let mut pairs: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); groups.len()];
-        for (k, &(a, _, tx, rx)) in probes.probes.iter().enumerate() {
-            if audible[k] {
-                let root = find(&mut parent, a);
-                let g = group_of_root[root];
-                if g != NO_GROUP {
-                    pairs[g].push((tx, rx));
-                }
-            }
-        }
-        (groups, live_windows, pairs)
-    }
-
-    /// Split one epoch's batch into [`PlacementGroup`]s that can be
-    /// placed concurrently, evaluating the partition probes inline — the
-    /// single-threaded convenience over
-    /// [`Self::split_batch_resolved`].
-    pub fn split_batch(
-        &mut self,
-        requests: Vec<TxRequest<P>>,
-        at: SimTime,
-        link: &dyn LinkModel,
-    ) -> Vec<PlacementGroup<P>> {
-        let probes = self.partition_probes(&requests, at, &link.contacts(at.second_bin()));
-        let audible: Vec<bool> = (0..probes.len())
-            .map(|k| probes.eval(k, at, link, self.params.sense_threshold))
-            .collect();
-        self.split_batch_resolved(requests, at, &probes, &audible)
-    }
-
-    /// Split one epoch's batch into [`PlacementGroup`]s given the
-    /// already-evaluated partition probes (from
-    /// [`Self::partition_probes`], possibly evaluated concurrently).
-    /// `requests` must be in canonical `(t_req, src)` order, exactly as
-    /// for [`Self::place_batch`]. The service commits the batch here —
-    /// handles and `tx_count` advance, and each sender's backoff stream
-    /// moves into its group — so every returned group must be placed and
-    /// the results handed back to [`Self::merge_placed`] before the next
-    /// batch.
-    pub fn split_batch_resolved(
-        &mut self,
-        requests: Vec<TxRequest<P>>,
-        at: SimTime,
-        probes: &PartitionProbes,
-        audible: &[bool],
-    ) -> Vec<PlacementGroup<P>> {
-        debug_assert!(
-            requests
-                .windows(2)
-                .all(|w| (w[0].t_req, w[0].frame.src.label())
-                    <= (w[1].t_req, w[1].frame.src.label())),
-            "requests must arrive in canonical (t_req, src) order"
-        );
-        let (index_groups, live_windows, pairs) = self.components(&requests, at, probes, audible);
-        let handle_base = self.next_handle;
-        self.next_handle += requests.len() as u64;
-        self.tx_count += requests.len() as u64;
-        let mut slots: Vec<Option<TxRequest<P>>> = requests.into_iter().map(Some).collect();
-        index_groups
-            .into_iter()
-            .zip(live_windows.into_iter().zip(pairs))
-            .map(|(indices, (live_idx, audible))| {
-                let requests: Vec<(usize, TxRequest<P>)> = indices
-                    .iter()
-                    .map(|&i| (i, slots[i].take().expect("each index appears once")))
-                    .collect();
-                let windows: Vec<kernel::TxWindow> = live_idx
-                    .iter()
-                    .map(|&i| {
-                        let t = &self.live[i];
-                        kernel::TxWindow {
-                            src: t.frame.src,
-                            start: t.start,
-                            end: t.end,
-                        }
-                    })
-                    .collect();
-                let mut backoff = Vec::new();
-                for (_, req) in &requests {
-                    let src = req.frame.src;
-                    if !backoff.iter().any(|(n, _)| *n == src) {
-                        backoff.push((src, self.take_backoff(src)));
-                    }
-                }
-                PlacementGroup {
-                    requests,
-                    windows,
-                    backoff,
-                    audible,
-                    handle_base,
-                    params: self.params,
-                }
-            })
-            .collect()
-    }
-
-    /// Merge placed groups back into the service: restore the backoff
-    /// streams, insert the transmissions in handle (= canonical batch)
-    /// order, and return the placements in canonical batch order — the
-    /// exact state and output [`Self::place_batch`] produces for the same
-    /// batch.
-    pub fn merge_placed(&mut self, groups: Vec<PlacedGroup<P>>) -> Vec<Placement> {
-        let mut transmissions = Vec::new();
-        let mut indexed = Vec::new();
-        for g in groups {
-            for (node, rng) in g.backoff {
-                self.put_backoff(node, rng);
-            }
-            transmissions.extend(g.transmissions);
-            indexed.extend(g.placements);
-        }
-        transmissions.sort_by_key(|(idx, _)| *idx);
-        self.live.extend(transmissions.into_iter().map(|(_, t)| t));
-        indexed.sort_by_key(|(idx, _)| *idx);
-        indexed.into_iter().map(|(_, p)| p).collect()
-    }
-
     /// Drain every placed transmission whose airtime ends before
     /// `next_boundary`, packaged with its overlap snapshot for the
     /// reception kernel, in `(end, src)` order — the canonical resolution
-    /// order. Call after [`Self::place_batch`] at the same barrier: any
-    /// window placed at a later barrier starts at or after
-    /// `next_boundary`, so the returned snapshots are complete.
+    /// order. Call after [`Self::place`] at the same barrier: any window
+    /// placed at a later barrier starts at or after `next_boundary`, so
+    /// the returned snapshots are complete.
     pub fn drain_resolvable(&mut self, next_boundary: SimTime) -> Vec<ResolvableTx<P>> {
         let mut out = Vec::new();
         for i in 0..self.live.len() {
@@ -891,6 +511,32 @@ mod tests {
         }
     }
 
+    /// Place one batch at `at` the way a barrier does: plan the probes
+    /// against the link's contact lists, answer them, place.
+    fn place(
+        med: &mut SharedMediumService<u32>,
+        link: &dyn LinkModel,
+        requests: Vec<TxRequest<u32>>,
+        at: SimTime,
+    ) -> Vec<Placement> {
+        let sense = med.params().sense_threshold;
+        let probes = med.plan_probes(&requests, at, &link.contacts(at.second_bin()));
+        let audible: Vec<bool> = (0..probes.len())
+            .map(|k| probes.eval(k, at, link, sense))
+            .collect();
+        med.place(requests, at, &probes, &audible)
+    }
+
+    /// Every receiver of `tx` the kernel lets hear it, in the model's
+    /// node order.
+    fn receptions(link: &mut TraceLinkModel, tx: &ResolvableTx<u32>, sense: f64) -> Vec<Reception> {
+        let nodes: Vec<NodeId> = link.nodes().iter().map(|&(id, _)| id).collect();
+        nodes
+            .into_iter()
+            .filter_map(|rx| kernel::sample_reception(link, tx, rx, sense))
+            .collect()
+    }
+
     /// Place one request at `at` and resolve it immediately (far-future
     /// drain boundary) — the single-frame convenience used by the simple
     /// tests.
@@ -901,13 +547,13 @@ mod tests {
         at: SimTime,
     ) -> (Placement, Vec<Reception>) {
         let sense = med.params().sense_threshold;
-        let p = med.place_batch(vec![r], at, link)[0];
+        let p = place(med, link, vec![r], at)[0];
         let resolvable = med.drain_resolvable(SimTime::MAX);
         let tx = resolvable
             .into_iter()
             .find(|t| t.handle == p.handle)
             .expect("placed frame drains");
-        let rx = kernel::resolve_receptions(link, &tx, sense);
+        let rx = receptions(link, &tx, sense);
         (p, rx)
     }
 
@@ -920,8 +566,8 @@ mod tests {
             |t: SimTime| -> Vec<TxRequest<u32>> { (0..3).map(|s| req(s, 500, s, t)).collect() };
         let mut plain = svc(MacParams::default());
         let mut based = svc(MacParams::default()).with_handle_base(7u64 << 48);
-        let a = plain.place_batch(reqs(SimTime::ZERO), SimTime::ZERO, &link);
-        let b = based.place_batch(reqs(SimTime::ZERO), SimTime::ZERO, &link);
+        let a = place(&mut plain, &link, reqs(SimTime::ZERO), SimTime::ZERO);
+        let b = place(&mut based, &link, reqs(SimTime::ZERO), SimTime::ZERO);
         for (pa, pb) in a.iter().zip(&b) {
             assert_eq!((pa.start, pa.end), (pb.start, pb.end));
             assert_eq!(pb.handle.raw(), pa.handle.raw() + (7u64 << 48));
@@ -970,10 +616,11 @@ mod tests {
         let mut med = svc(MacParams::default());
         // Both requests land in the same batch; node 1 hears node 0
         // (perfect link), so its window must not overlap node 0's.
-        let ps = med.place_batch(
+        let ps = place(
+            &mut med,
+            &link,
             vec![req(0, 500, 1, SimTime::ZERO), req(1, 500, 2, SimTime::ZERO)],
             SimTime::ZERO,
-            &link,
         );
         assert!(
             ps[1].start >= ps[0].end,
@@ -1003,10 +650,11 @@ mod tests {
             ..MacParams::default()
         });
         let sense = med.params().sense_threshold;
-        let ps = med.place_batch(
+        let ps = place(
+            &mut med,
+            &link,
             vec![req(0, 500, 1, SimTime::ZERO), req(2, 500, 2, SimTime::ZERO)],
             SimTime::ZERO,
-            &link,
         );
         assert!(
             ps[0].start < ps[1].end && ps[1].start < ps[0].end,
@@ -1015,7 +663,7 @@ mod tests {
         let resolvable = med.drain_resolvable(SimTime::MAX);
         assert_eq!(resolvable.len(), 2);
         for tx in &resolvable {
-            let rx = kernel::resolve_receptions(&mut link, tx, sense);
+            let rx = receptions(&mut link, tx, sense);
             assert!(
                 rx.iter().all(|r| r.rx != NodeId(1)),
                 "node 1 must lose frame from {:?} to the collision",
@@ -1045,13 +693,14 @@ mod tests {
         // Node 1 queued first (earlier t_req) and is deaf to everyone, so
         // it airs its long frame from the epoch edge; node 0, deaf to node
         // 1 (no 1→0 series), is placed second and starts inside it.
-        let ps = med.place_batch(
+        let ps = place(
+            &mut med,
+            &link,
             vec![
                 req(1, 1400, 1, SimTime::ZERO),
                 req(0, 100, 2, SimTime::from_micros(1)),
             ],
             SimTime::ZERO,
-            &link,
         );
         assert!(
             ps[1].start < ps[0].end && ps[1].end > ps[0].start,
@@ -1062,7 +711,7 @@ mod tests {
             .iter()
             .find(|t| t.frame.src == NodeId(0))
             .unwrap();
-        let rx = kernel::resolve_receptions(&mut link, short, sense);
+        let rx = receptions(&mut link, short, sense);
         assert!(
             rx.iter().all(|r| r.rx != NodeId(1)),
             "node 1 was transmitting and must miss the frame"
@@ -1090,7 +739,12 @@ mod tests {
     fn drain_is_exactly_once_and_windowed() {
         let link = perfect_link(2, 10);
         let mut med = svc(MacParams::default());
-        let ps = med.place_batch(vec![req(0, 100, 0, SimTime::ZERO)], SimTime::ZERO, &link);
+        let ps = place(
+            &mut med,
+            &link,
+            vec![req(0, 100, 0, SimTime::ZERO)],
+            SimTime::ZERO,
+        );
         // A boundary before the frame's end drains nothing.
         assert!(med.drain_resolvable(ps[0].end).is_empty());
         // One past it drains the frame exactly once.
@@ -1144,7 +798,7 @@ mod tests {
                 if with_foreign {
                     batch.push(req(1, 900, 1000 + i, at));
                 }
-                let ps = med.place_batch(batch, at, &link);
+                let ps = place(&mut med, &link, batch, at);
                 outs.push((ps[0].start, ps[0].end));
                 let _ = med.drain_resolvable(SimTime::MAX);
                 // Advance by node 0's own window only — the comparison

@@ -9,14 +9,20 @@
 //! * **window isolation** — delivery sampling never observes a
 //!   transmission outside its `(start, end)` window: adding traffic whose
 //!   airtime is disjoint from a frame's window changes nothing about that
-//!   frame's receptions, bit for bit.
+//!   frame's receptions, bit for bit;
+//! * **exact placement** — placing a batch from its probe answers
+//!   reproduces a carrier-sense scan that asks `quality_hint` directly,
+//!   and probing only contact candidates places exactly like probing
+//!   every pair.
 
 use proptest::prelude::*;
 use vifi_mac::medium::kernel;
-use vifi_mac::{Frame, MacParams, SharedMediumService, TxRequest};
+use vifi_mac::{
+    Frame, MacParams, Placement, Reception, ResolvableTx, SharedMediumService, TxRequest,
+};
 use vifi_phy::link::{LinkModel, LossSeries, TraceLinkModel};
 use vifi_phy::{ContactSecond, NodeId, NodeKind};
-use vifi_sim::{Rng, SimTime};
+use vifi_sim::{Rng, SimDuration, SimTime};
 
 /// A randomized topology: `n` nodes and a directed audibility matrix of
 /// per-link delivery probabilities (0.0 = no link).
@@ -81,6 +87,35 @@ fn build_link(t: &Topology, seed: u64) -> TraceLinkModel {
     m
 }
 
+/// Place one batch the way a barrier does: plan the probes against
+/// `contacts` (the link's own lists for `at`'s second when `None`), answer
+/// them at `at`, place.
+fn place(
+    med: &mut SharedMediumService<u32>,
+    link: &TraceLinkModel,
+    requests: Vec<TxRequest<u32>>,
+    at: SimTime,
+    contacts: Option<&ContactSecond>,
+) -> Vec<Placement> {
+    let sense = med.params().sense_threshold;
+    let own = link.contacts(at.second_bin());
+    let probes = med.plan_probes(&requests, at, contacts.unwrap_or(&own));
+    let audible: Vec<bool> = (0..probes.len())
+        .map(|k| probes.eval(k, at, link, sense))
+        .collect();
+    med.place(requests, at, &probes, &audible)
+}
+
+/// Every receiver of `tx` the kernel lets hear it, in the model's node
+/// order.
+fn receptions(link: &mut TraceLinkModel, tx: &ResolvableTx<u32>, sense: f64) -> Vec<Reception> {
+    let nodes: Vec<NodeId> = link.nodes().iter().map(|&(id, _)| id).collect();
+    nodes
+        .into_iter()
+        .filter_map(|rx| kernel::sample_reception(link, tx, rx, sense))
+        .collect()
+}
+
 /// Place one batch (every node transmits once, staggered arrivals) and
 /// resolve all frames, returning `(per-frame window, per-frame rx set,
 /// per-frame overlap set)` keyed by source node.
@@ -106,12 +141,12 @@ fn run_batch(
             t_req: SimTime::from_micros(i as u64),
         })
         .collect();
-    let _ = med.place_batch(requests, SimTime::ZERO, &link);
+    let _ = place(&mut med, &link, requests, SimTime::ZERO, None);
     let resolvable = med.drain_resolvable(SimTime::MAX);
     resolvable
         .iter()
         .map(|tx| {
-            let rx = kernel::resolve_receptions(&mut link, tx, sense);
+            let rx = receptions(&mut link, tx, sense);
             (
                 tx.frame.src,
                 tx.start,
@@ -197,10 +232,12 @@ proptest! {
                 SharedMediumService::new(MacParams::default(), &Rng::new(seed));
             let sense = med.params().sense_threshold;
             // Batch 1: only the probe frame.
-            let _ = med.place_batch(
+            let _ = place(
+                &mut med,
+                &link,
                 vec![TxRequest { frame: Frame::new(probe, size, 0), t_req: SimTime::ZERO }],
                 SimTime::ZERO,
-                &link,
+                None,
             );
             // Batch 2, far in the future: everyone else transmits.
             if with_late_traffic {
@@ -211,7 +248,7 @@ proptest! {
                         t_req: at,
                     })
                     .collect();
-                let _ = med.place_batch(reqs, at, &link);
+                let _ = place(&mut med, &link, reqs, at, None);
             }
             let resolvable = med.drain_resolvable(SimTime::MAX);
             let tx = resolvable
@@ -219,7 +256,7 @@ proptest! {
                 .find(|t| t.frame.src == probe)
                 .expect("probe frame resolves")
                 .clone();
-            let rx = kernel::resolve_receptions(&mut link, &tx, sense);
+            let rx = receptions(&mut link, &tx, sense);
             (tx.overlapping.clone(), rx.iter().map(|r| (r.rx, r.rssi_dbm.to_bits())).collect::<Vec<_>>())
         };
         let (quiet_overlap, quiet_rx) = run(false);
@@ -232,207 +269,152 @@ proptest! {
     }
 }
 
-/// A two-batch setup for the audibility partitioner: batch 1 (every node,
-/// large frames) leaves live windows on the medium; batch 2 (even-labelled
-/// nodes) is the one being partitioned at `at`, while the odd nodes'
-/// still-running windows act as live sources.
-#[allow(clippy::type_complexity)]
-fn two_batch_setup(
-    topo: &Topology,
-    seed: u64,
-    gap_us: u64,
-) -> (
-    TraceLinkModel,
-    SharedMediumService<u32>,
-    Vec<(NodeId, SimTime, SimTime)>,
-    Vec<TxRequest<u32>>,
-    SimTime,
-) {
-    let link = build_link(topo, seed);
-    let mut med: SharedMediumService<u32> =
-        SharedMediumService::new(MacParams::default(), &Rng::new(seed));
-    let first: Vec<TxRequest<u32>> = (0..topo.n)
+/// The two batches of the placement properties: batch 1 (every node,
+/// staggered arrivals, 1500-byte frames that stay on the air for about
+/// 12 ms each) placed at time zero, then batch 2 (the nodes picked by
+/// `pick`) at `at`, when some of batch 1's windows may still be live.
+fn two_batches(n: u32, pick: &[bool], at: SimTime) -> (Vec<TxRequest<u32>>, Vec<TxRequest<u32>>) {
+    let first = (0..n)
         .map(|i| TxRequest {
             frame: Frame::new(NodeId(i), 1500, i),
             t_req: SimTime::from_micros(i as u64),
         })
         .collect();
-    let srcs: Vec<NodeId> = first.iter().map(|r| r.frame.src).collect();
-    let placed = med.place_batch(first, SimTime::ZERO, &link);
-    let live: Vec<(NodeId, SimTime, SimTime)> = srcs
-        .iter()
-        .zip(&placed)
-        .map(|(&s, p)| (s, p.start, p.end))
-        .collect();
-    let at = SimTime::from_micros(gap_us);
-    let second: Vec<TxRequest<u32>> = (0..topo.n)
-        .step_by(2)
+    let second = (0..n)
+        .filter(|&i| pick[i as usize])
         .map(|i| TxRequest {
-            frame: Frame::new(NodeId(i), 400 + 30 * i, i),
-            t_req: at + vifi_sim::SimDuration::from_micros(i as u64),
+            frame: Frame::new(NodeId(i), 400 + 30 * i, 100 + i),
+            t_req: at + SimDuration::from_micros(i as u64),
         })
         .collect();
-    (link, med, live, second, at)
+    (first, second)
+}
+
+/// The reference [`SharedMediumService::place`] must reproduce: a
+/// carrier-sense scan that asks `quality_hint` at the barrier instant
+/// about every other window still on the air and defers past the latest
+/// audible one. Valid for `cw_slots: 1`, where every backoff draw is
+/// zero. `windows` holds `(src, end)` of everything placed so far and
+/// grows with the batch.
+fn reference_place(
+    windows: &mut Vec<(NodeId, SimTime)>,
+    requests: &[TxRequest<u32>],
+    at: SimTime,
+    link: &dyn LinkModel,
+    params: &MacParams,
+) -> Vec<(SimTime, SimTime)> {
+    assert_eq!(params.cw_slots, 1, "the reference draws no backoff");
+    requests
+        .iter()
+        .map(|r| {
+            let src = r.frame.src;
+            let mut free = at;
+            for &(w, end) in windows.iter() {
+                if end > at
+                    && w != src
+                    && end > free
+                    && link.quality_hint(w, src, at) > params.sense_threshold
+                {
+                    free = end;
+                }
+            }
+            let start = free + params.difs;
+            let end = start + params.airtime(r.frame.size_bytes);
+            windows.push((src, end));
+            (start, end)
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The audibility partitioner is an exact cover: every request index
-    /// appears in exactly one group, indices ascend within each group, and
-    /// groups are ordered by their first (canonically smallest) index.
+    /// With zero backoff, placing from the probe answers equals the
+    /// reference `quality_hint` scan, window for window, for a first batch
+    /// on an idle medium and for a second batch that has to sense the
+    /// first one's still-live windows (after the drain at the second
+    /// barrier, as in a run). Handles are issued in batch order.
     #[test]
-    fn partition_covers_batch_exactly_once(
+    fn placement_matches_the_quality_hint_scan(
         topo in topology_strategy(),
         seed in 1u64..10_000,
-        gap_us in 500u64..3000,
+        gap_us in 500u64..40_000,
+        pick in proptest::collection::vec(any::<bool>(), 7..=7),
     ) {
-        let (link, med, _, second, at) = two_batch_setup(&topo, seed, gap_us);
-        let total = second.len();
-        let groups = med.partition_batch(&second, at, &link);
-        let mut seen: Vec<usize> = groups.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..total).collect::<Vec<_>>(), "cover is not exact");
-        for g in &groups {
-            prop_assert!(!g.is_empty(), "empty group emitted");
-            prop_assert!(g.windows(2).all(|w| w[0] < w[1]), "indices must ascend within a group");
-        }
-        let firsts: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-        prop_assert!(
-            firsts.windows(2).all(|w| w[0] < w[1]),
-            "groups must be ordered by first canonical index"
-        );
-    }
-
-    /// Cross-group independence: two senders placed in different groups are
-    /// outside each other's interference horizon at the partition instant
-    /// (inaudible in both directions), and no still-live window's source is
-    /// audible to senders in two different groups — the condition that
-    /// makes per-group placement order-free.
-    #[test]
-    fn cross_group_nodes_are_mutually_inaudible(
-        topo in topology_strategy(),
-        seed in 1u64..10_000,
-        gap_us in 500u64..3000,
-    ) {
-        let (link, med, live, second, at) = two_batch_setup(&topo, seed, gap_us);
-        let sense = MacParams::default().sense_threshold;
-        let groups = med.partition_batch(&second, at, &link);
-        let senders: Vec<Vec<NodeId>> = groups
-            .iter()
-            .map(|g| g.iter().map(|&i| second[i].frame.src).collect())
-            .collect();
-        for gi in 0..senders.len() {
-            for gj in (gi + 1)..senders.len() {
-                for &a in &senders[gi] {
-                    for &b in &senders[gj] {
-                        prop_assert!(
-                            link.quality_hint(a, b, at) <= sense
-                                && link.quality_hint(b, a, at) <= sense,
-                            "{a:?} and {b:?} are in different groups yet within \
-                             each other's interference horizon at {at:?}"
-                        );
-                    }
-                }
-            }
-        }
-        let batch_srcs: Vec<NodeId> = second.iter().map(|r| r.frame.src).collect();
-        for &(l, _, end) in &live {
-            if end <= at || batch_srcs.contains(&l) {
-                continue;
-            }
-            let heard_in: Vec<usize> = (0..senders.len())
-                .filter(|&g| senders[g].iter().any(|&s| link.quality_hint(l, s, at) > sense))
-                .collect();
-            prop_assert!(
-                heard_in.len() <= 1,
-                "live source {l:?} is audible to senders of groups {heard_in:?}; \
-                 those groups must have merged"
+        let link = build_link(&topo, seed);
+        let params = MacParams { cw_slots: 1, ..MacParams::default() };
+        let mut med: SharedMediumService<u32> = SharedMediumService::new(params, &Rng::new(seed));
+        let at = SimTime::from_micros(gap_us);
+        let (first, second) = two_batches(topo.n, &pick, at);
+        let mut windows = Vec::new();
+        let mut issued = 0u64;
+        for (batch, at) in [(first, SimTime::ZERO), (second, at)] {
+            let _ = med.drain_resolvable(at);
+            let want = reference_place(&mut windows, &batch, at, &link, &params);
+            let got = place(&mut med, &link, batch, at, None);
+            prop_assert_eq!(
+                got.iter().map(|p| (p.start, p.end)).collect::<Vec<_>>(),
+                want,
+                "placement diverged from the quality_hint scan at {:?}",
+                at
             );
+            for p in &got {
+                prop_assert_eq!(p.handle.raw(), issued);
+                issued += 1;
+            }
         }
+        prop_assert_eq!(med.tx_count, issued);
     }
 
-    /// Planning probes only between contact candidates splits and places
-    /// a batch exactly like the complete plan: every skipped probe would
-    /// have answered "not audible".
+    /// Planning probes only between contact candidates places a batch
+    /// exactly like the complete plan at default parameters (real
+    /// backoff draws): every skipped probe would have answered "not
+    /// audible". Placements, overlap snapshots and sampled receptions
+    /// agree bit for bit.
     #[test]
     fn candidate_probes_place_like_the_complete_plan(
         topo in topology_strategy(),
         seed in 1u64..10_000,
-        gap_us in 500u64..3000,
+        gap_us in 500u64..40_000,
+        pick in proptest::collection::vec(any::<bool>(), 7..=7),
     ) {
-        let (link, mut med_a, _, second, at) = two_batch_setup(&topo, seed, gap_us);
-        let (_, mut med_b, _, _, _) = two_batch_setup(&topo, seed, gap_us);
+        let at = SimTime::from_micros(gap_us);
+        let (first, second) = two_batches(topo.n, &pick, at);
         let sense = MacParams::default().sense_threshold;
-        let ids: Vec<NodeId> = link.nodes().iter().map(|&(id, _)| id).collect();
-        let place = |med: &mut SharedMediumService<u32>, contacts: &ContactSecond| {
-            let probes = med.partition_probes(&second, at, contacts);
-            let audible: Vec<bool> =
-                (0..probes.len()).map(|k| probes.eval(k, at, &link, sense)).collect();
-            let groups = med.split_batch_resolved(second.clone(), at, &probes, &audible);
-            let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-            let placed = groups.into_iter().map(|g| g.place(at)).collect();
-            let windows: Vec<_> = med
-                .merge_placed(placed)
+        let run = |complete: bool| {
+            let mut link = build_link(&topo, seed);
+            let mut med: SharedMediumService<u32> =
+                SharedMediumService::new(MacParams::default(), &Rng::new(seed));
+            let _ = place(&mut med, &link, first.clone(), SimTime::ZERO, None);
+            let _ = med.drain_resolvable(at);
+            let ids: Vec<NodeId> = link.nodes().iter().map(|&(id, _)| id).collect();
+            let contacts = if complete {
+                ContactSecond::complete(at.second_bin(), &ids)
+            } else {
+                link.contacts(at.second_bin())
+            };
+            let probes = med.plan_probes(&second, at, &contacts).len();
+            let placed: Vec<_> = place(&mut med, &link, second.clone(), at, Some(&contacts))
                 .iter()
                 .map(|p| (p.handle, p.start, p.end))
                 .collect();
-            (probes.len(), sizes, windows)
+            let resolved: Vec<_> = med
+                .drain_resolvable(SimTime::MAX)
+                .iter()
+                .map(|tx| {
+                    let rx: Vec<_> = receptions(&mut link, tx, sense)
+                        .into_iter()
+                        .map(|r| (r.rx, r.rssi_dbm.to_bits()))
+                        .collect();
+                    (tx.handle, tx.overlapping.clone(), rx)
+                })
+                .collect();
+            (probes, placed, resolved)
         };
-        let (pruned, groups_a, windows_a) = place(&mut med_a, &link.contacts(at.second_bin()));
-        let (full, groups_b, windows_b) =
-            place(&mut med_b, &ContactSecond::complete(at.second_bin(), &ids));
+        let (pruned, placed_a, resolved_a) = run(false);
+        let (full, placed_b, resolved_b) = run(true);
         prop_assert!(pruned <= full);
-        prop_assert_eq!(groups_a, groups_b, "groups diverged");
-        prop_assert_eq!(windows_a, windows_b, "placements diverged");
-    }
-
-    /// Group-parallel placement is bit-identical to the whole-batch path:
-    /// splitting a batch into audibility groups, placing each group
-    /// independently (in reverse group order, to prove order freedom) and
-    /// merging back produces the same placements, the same live windows and
-    /// overlap snapshots, and the same sampled receptions as a single
-    /// `place_batch` call on an identically-seeded service.
-    #[test]
-    fn group_parallel_placement_matches_place_batch(
-        topo in topology_strategy(),
-        seed in 1u64..10_000,
-        gap_us in 500u64..3000,
-    ) {
-        let (mut link_a, mut med_a, _, second, at) = two_batch_setup(&topo, seed, gap_us);
-        let (mut link_b, mut med_b, _, _, _) = two_batch_setup(&topo, seed, gap_us);
-        let sense = MacParams::default().sense_threshold;
-
-        let whole = med_a.place_batch(second.clone(), at, &link_a);
-        let groups = med_b.split_batch(second, at, &link_b);
-        let mut placed: Vec<_> = groups.into_iter().map(|g| g.place(at)).collect();
-        placed.reverse();
-        let merged = med_b.merge_placed(placed);
-
-        let fp = |p: &vifi_mac::Placement| (p.handle, p.start, p.end);
-        prop_assert_eq!(
-            whole.iter().map(fp).collect::<Vec<_>>(),
-            merged.iter().map(fp).collect::<Vec<_>>(),
-            "placements diverged between whole-batch and group-parallel paths"
-        );
-
-        let ra = med_a.drain_resolvable(SimTime::MAX);
-        let rb = med_b.drain_resolvable(SimTime::MAX);
-        prop_assert_eq!(ra.len(), rb.len());
-        for (ta, tb) in ra.iter().zip(&rb) {
-            prop_assert_eq!(ta.handle, tb.handle);
-            prop_assert_eq!(ta.frame.src, tb.frame.src);
-            prop_assert_eq!((ta.start, ta.end), (tb.start, tb.end));
-            prop_assert_eq!(&ta.overlapping, &tb.overlapping, "overlap snapshots diverged");
-            let rx_a: Vec<_> = kernel::resolve_receptions(&mut link_a, ta, sense)
-                .into_iter()
-                .map(|r| (r.rx, r.rssi_dbm.to_bits()))
-                .collect();
-            let rx_b: Vec<_> = kernel::resolve_receptions(&mut link_b, tb, sense)
-                .into_iter()
-                .map(|r| (r.rx, r.rssi_dbm.to_bits()))
-                .collect();
-            prop_assert_eq!(rx_a, rx_b, "reception sampling diverged");
-        }
+        prop_assert_eq!(placed_a, placed_b, "placements diverged");
+        prop_assert_eq!(resolved_a, resolved_b, "resolution diverged");
     }
 }

@@ -235,11 +235,6 @@ impl PhysicalLinkModel {
         self.nodes.push((id, kind));
     }
 
-    /// The radio parameters in use.
-    pub fn radio_params(&self) -> &RadioParams {
-        &self.params
-    }
-
     /// Kind and mobility of a registered node. Panics on unknown node.
     fn node(&self, id: NodeId) -> &(NodeKind, MobilitySource) {
         self.table
@@ -485,11 +480,6 @@ impl LossSeries {
             .get(now.second_bin() as usize)
             .copied()
             .unwrap_or(0.0)
-    }
-
-    /// Number of recorded seconds.
-    pub fn len_secs(&self) -> usize {
-        self.probs.len()
     }
 }
 

@@ -15,14 +15,14 @@
 //! inter-node effects cross at barriers** in canonically sorted batches.
 //! At each boundary one phase sequence runs over the clusters due there:
 //! *collect* each batch in `(request time, sender)` order with its
-//! audibility probes; *probe* in parallel; *split* into
-//! audibility-independent groups; *place* the groups in parallel on the
-//! cluster's own medium; *merge* in canonical order and drain the frames
-//! ending before the cluster's next boundary; *resolve* — each shard
-//! samples its own receivers through the pure MAC kernel and per-link
-//! streams; emit *frame ops*; and, at rendezvous stops only, *route*
-//! backplane sends (one [`Backplane::send_batch`] per instant in sender
-//! order), wired hops and anchor hand-offs, never earlier than the stop.
+//! audibility probes; *probe* in parallel; *place* the batch on the
+//! cluster's own medium in canonical order, reading every carrier-sense
+//! verdict from the probe answers, and drain the frames ending before the
+//! cluster's next boundary; *resolve* — each shard samples its own
+//! receivers through the pure MAC kernel and per-link streams; emit
+//! *frame ops*; and, at rendezvous stops only, *route* backplane sends
+//! (one [`Backplane::send_batch`] per instant in sender order), wired
+//! hops and anchor hand-offs, never earlier than the stop.
 //! Rendezvous are every boundary of a one-cluster fleet and the coarse
 //! grid otherwise, so clusters never stall each other at fine boundaries;
 //! the cadence follows from the decomposition, never from a knob.
@@ -60,8 +60,8 @@ use vifi_core::{
 };
 use vifi_mac::medium::kernel;
 use vifi_mac::{
-    Backplane, BeaconSchedule, Frame, PartitionProbes, PlacedGroup, PlacementGroup, ResolvableTx,
-    SharedMediumService, TxHandle, TxRequest, WireFrame,
+    AudibilityProbes, Backplane, BeaconSchedule, Frame, ResolvableTx, SharedMediumService,
+    TxHandle, TxRequest, WireFrame,
 };
 use vifi_phy::{ContactSecond, LinkModel, NodeId};
 use vifi_sim::{
@@ -261,19 +261,16 @@ struct ClusterBatch {
     /// The cluster's next boundary, clamped to the horizon: frames ending
     /// before it resolve at this one.
     next: SimTime,
-    /// The sorted transmission batch, until the split phase.
+    /// The sorted transmission batch, until the place phase.
     requests: Vec<TxRequest<WireFrame>>,
-    /// Aux snapshots and senders in batch order, until the merge phase.
+    /// Aux snapshots in batch order, until the place phase.
     auxes: Vec<Option<Vec<NodeId>>>,
-    senders: Vec<NodeId>,
     /// Audibility probe plan (collect → probe) and the workers' answers
-    /// (probe → split); no plan for an empty batch.
-    probes: Option<PartitionProbes>,
+    /// (probe → place); no plan for an empty batch.
+    probes: Option<AudibilityProbes>,
     audible: Vec<AtomicBool>,
     /// Work-claim cursor of the threaded probe phase.
     cursor: AtomicUsize,
-    /// This batch's slice of the supergroup's placement jobs.
-    jobs: Range<usize>,
     /// `(sender, end)` of every window placed at this barrier, in batch
     /// order — each shard schedules `TxDone` for its own senders.
     placements: Vec<(NodeId, SimTime)>,
@@ -300,18 +297,15 @@ impl ClusterBatch {
 }
 
 /// Staging area a supergroup's barrier phases hand work through. The
-/// leader fills it in the collect/split/merge phases (behind the write
-/// lock); workers read it concurrently to evaluate probes, place groups
-/// and resolve receptions.
+/// leader fills it in the collect and place phases (behind the write
+/// lock); workers read it concurrently to evaluate probes and resolve
+/// receptions.
 #[derive(Default)]
 struct BarrierScratch {
     /// The barrier instant.
     at: SimTime,
     /// One batch per due cluster of the supergroup, ascending by cluster.
     batches: Vec<ClusterBatch>,
-    /// Placement jobs of every batch, batch after batch; each taken
-    /// exactly once.
-    jobs: Vec<Mutex<Option<PlacementGroup<WireFrame>>>>,
 }
 
 /// Clusters that share shards, the shards hosting them, and the slice of
@@ -324,34 +318,15 @@ struct Supergroup {
     /// Worker threads (at least one, at most one per shard).
     workers: usize,
     scratch: RwLock<BarrierScratch>,
-    /// Work-claim cursor of the threaded place phase (reset by the split
-    /// leader while every other worker is parked at the next wait).
-    cursor: AtomicUsize,
-    /// Placed groups of the place phase, keyed by job index.
-    placed: Mutex<Vec<(usize, PlacedGroup<WireFrame>)>>,
-}
-
-impl Supergroup {
-    /// Place one claimed job (pure window arithmetic: the probes already
-    /// answered every carrier-sense question, so no link model is needed).
-    fn place_job(&self, scratch: &BarrierScratch, i: usize) {
-        let job = scratch.jobs[i]
-            .lock()
-            .expect("job")
-            .take()
-            .expect("each job claimed exactly once");
-        let placed = job.place(scratch.at);
-        self.placed.lock().expect("placed").push((i, placed));
-    }
 }
 
 /// Wall-clock accounting of one coupled run. Each measured span is
 /// charged once: epoch execution and reception resolution to the shard
-/// that runs them; probe and placement slices to a hosting shard of their
-/// cluster (rotated by stop in the serial executor, the claiming worker's
-/// first shard in the threaded one); a cluster's leader phases (collect,
-/// split, merge and drain, frame ops) to its hosting shard when it has
-/// exactly one, else to `serial`; backplane routing to `serial`. Within
+/// that runs them; probe slices to a hosting shard of their cluster
+/// (rotated by stop in the serial executor, the claiming worker's first
+/// shard in the threaded one); a cluster's leader phases (collect, place
+/// and drain, frame ops) to its hosting shard when it has exactly one,
+/// else to `serial`; backplane routing to `serial`. Within
 /// a stop, one thread's spans meet end to start, so only time parked at
 /// a barrier goes uncharged. The critical path of the plan is
 /// `serial + max(per_shard)` — what the run costs once every shard has
@@ -736,9 +711,9 @@ impl Engine {
     /// Serial executor: every phase on the calling thread, in the
     /// threaded executor's order. The per-shard walls measured here are
     /// what each shard would cost on a core of its own, so the parallel
-    /// probe and place phases are timed in slices rotated over each
-    /// cluster's hosting shards by stop index — the work each core would
-    /// absorb in a threaded run with balanced claims.
+    /// probe phase is timed in slices rotated over each cluster's hosting
+    /// shards by stop index — the work each core would absorb in a
+    /// threaded run with balanced claims.
     fn run_serial(&self, horizon: SimTime) {
         // One thread runs every phase, so it holds every scratch for the
         // whole run.
@@ -747,7 +722,6 @@ impl Engine {
             .iter()
             .map(|sg| sg.scratch.write().expect("scratch"))
             .collect();
-        let sense = self.cfg.mac.sense_threshold;
         let mut walk = self.hierarchy.walk(horizon);
         let mut stop = 0usize;
         while let Some(at) = walk.advance() {
@@ -758,22 +732,8 @@ impl Engine {
             for (g, sg) in self.supergroups.iter().enumerate() {
                 let scratch = &mut *scratches[g];
                 self.collect(g, scratch, &walk, at, horizon, clock);
-                self.slices(
-                    scratch,
-                    stop,
-                    clock,
-                    |b| b.audible.len(),
-                    |sh, b, r| b.eval_probes(scratch.at, r, sh.link.as_ref(), sense),
-                );
-                self.split(sg, scratch, clock);
-                self.slices(
-                    scratch,
-                    stop,
-                    clock,
-                    |b| b.jobs.len(),
-                    |_, b, r| r.for_each(|i| sg.place_job(scratch, b.jobs.start + i)),
-                );
-                self.merge(sg, scratch, clock);
+                self.probe_slices(scratch, stop, clock);
+                self.place(scratch, clock);
                 for &si in &sg.shards {
                     self.resolve(scratch, si, clock);
                 }
@@ -838,9 +798,7 @@ impl Engine {
             }
             lead(&|| self.collect(g, &mut write(), &walk, at, horizon, &mut now()));
             self.claim_probes(&read(), mine[0], &mut now());
-            lead(&|| self.split(sg, &mut write(), &mut now()));
-            self.claim_jobs(sg, &read(), mine[0], &mut now());
-            lead(&|| self.merge(sg, &mut write(), &mut now()));
+            lead(&|| self.place(&mut write(), &mut now()));
             let clock = &mut now();
             for &si in &mine {
                 self.resolve(&read(), si, clock);
@@ -889,8 +847,8 @@ impl Engine {
 
     /// Leader phase 1: gather each due cluster's transmission requests
     /// from its hosting shards, sort the batch into canonical order,
-    /// snapshot aux sets, and plan the audibility probes its partition
-    /// needs. Publishes the batches — legal because every other worker
+    /// snapshot aux sets, and plan the audibility probes its placement
+    /// reads. Publishes the batches — legal because every other worker
     /// of the supergroup is parked at the following wait.
     fn collect(
         &self,
@@ -921,7 +879,6 @@ impl Engine {
             }
             requests.sort_by_key(|r| (r.t_req, r.frame.src.label()));
             let auxes = requests.iter().map(|r| self.aux_snapshot(r, at)).collect();
-            let senders = requests.iter().map(|r| r.frame.src).collect();
             let probes = (!requests.is_empty()).then(|| {
                 let rt = self.clusters[c].lock().expect("cluster rt");
                 let mut host = self.shards[self.cluster_shards[c][0]]
@@ -929,7 +886,7 @@ impl Engine {
                     .expect("shard");
                 let Shard { link, contacts, .. } = &mut *host;
                 let contacts = contacts.get(link.as_ref(), at.second_bin());
-                rt.medium.partition_probes(&requests, at, contacts)
+                rt.medium.plan_probes(&requests, at, contacts)
             });
             let audible = probes
                 .as_ref()
@@ -940,11 +897,9 @@ impl Engine {
                 next: walk.next_boundary(c).map_or(final_next, |n| n.min(horizon)),
                 requests,
                 auxes,
-                senders,
                 probes,
                 audible,
                 cursor: AtomicUsize::new(0),
-                jobs: 0..0,
                 placements: Vec::new(),
                 resolvable: Vec::new(),
                 heard: Mutex::new(Vec::new()),
@@ -972,24 +927,20 @@ impl Engine {
         }
     }
 
-    /// Phases 2 and 4, serial form: each batch's `len(batch)` work items
-    /// in one contiguous slice per hosting shard of its cluster, rotated
-    /// by stop index, each slice timed on its shard.
-    fn slices(
-        &self,
-        scratch: &BarrierScratch,
-        stop: usize,
-        clock: &mut Instant,
-        len: fn(&ClusterBatch) -> usize,
-        work: impl Fn(&mut Shard, &ClusterBatch, Range<usize>),
-    ) {
+    /// Phase 2, serial form: each batch's probes in one contiguous slice
+    /// per hosting shard of its cluster, rotated by stop index, each
+    /// slice evaluated with and timed on its shard.
+    fn probe_slices(&self, scratch: &BarrierScratch, stop: usize, clock: &mut Instant) {
+        let sense = self.cfg.mac.sense_threshold;
         for b in &scratch.batches {
             let hosts = &self.cluster_shards[b.cluster];
-            let (total, n) = (len(b), hosts.len());
+            let (total, n) = (b.audible.len(), hosts.len());
             for j in 0..n {
                 let (lo, hi) = (j * total / n, (j + 1) * total / n);
                 if lo < hi {
-                    self.on_shard(hosts[(j + stop) % n], clock, |sh| work(sh, b, lo..hi));
+                    self.on_shard(hosts[(j + stop) % n], clock, |sh| {
+                        b.eval_probes(scratch.at, lo..hi, sh.link.as_ref(), sense)
+                    });
                 }
             }
         }
@@ -1016,69 +967,29 @@ impl Engine {
         });
     }
 
-    /// Leader phase 3: union each batch's probe answers into its
-    /// partition and split it into placement jobs on its cluster's
-    /// medium. Resets the cursor for the place phase.
-    fn split(&self, sg: &Supergroup, scratch: &mut BarrierScratch, clock: &mut Instant) {
-        let BarrierScratch { at, batches, jobs } = scratch;
-        for b in batches.iter_mut() {
+    /// Leader phase 3: place each batch on its cluster's medium from its
+    /// probe answers, record aux snapshots, and drain the frames ending
+    /// before the cluster's next boundary.
+    fn place(&self, scratch: &mut BarrierScratch, clock: &mut Instant) {
+        let at = scratch.at;
+        for b in &mut scratch.batches {
+            let mut rt = self.clusters[b.cluster].lock().expect("cluster rt");
+            let ClusterRt { medium, aux } = &mut *rt;
             if let Some(probes) = b.probes.take() {
                 let audible: Vec<bool> =
                     b.audible.iter().map(|a| a.load(Ordering::SeqCst)).collect();
-                let groups = self.clusters[b.cluster]
-                    .lock()
-                    .expect("cluster rt")
-                    .medium
-                    .split_batch_resolved(std::mem::take(&mut b.requests), *at, &probes, &audible);
-                let lo = jobs.len();
-                jobs.extend(groups.into_iter().map(|g| Mutex::new(Some(g))));
-                b.jobs = lo..jobs.len();
-            }
-            self.charge(b.cluster, clock);
-        }
-        sg.cursor.store(0, Ordering::SeqCst);
-    }
-
-    /// Phase 4, threaded form: claim jobs through the cursor until none
-    /// remain, timed on the worker's shard `si`.
-    fn claim_jobs(
-        &self,
-        sg: &Supergroup,
-        scratch: &BarrierScratch,
-        si: usize,
-        clock: &mut Instant,
-    ) {
-        self.on_shard(si, clock, |_| loop {
-            let i = sg.cursor.fetch_add(1, Ordering::SeqCst);
-            if i >= scratch.jobs.len() {
-                break;
-            }
-            sg.place_job(scratch, i);
-        });
-    }
-
-    /// Leader phase 5: merge each batch's placed groups back into its
-    /// cluster's medium in canonical order, record aux snapshots, and drain
-    /// the frames ending before the cluster's next boundary.
-    fn merge(&self, sg: &Supergroup, scratch: &mut BarrierScratch, clock: &mut Instant) {
-        let mut placed = std::mem::take(&mut *sg.placed.lock().expect("placed"));
-        placed.sort_by_key(|(i, _)| *i);
-        let mut placed = placed.into_iter().map(|(_, g)| g);
-        scratch.jobs.clear();
-        for b in &mut scratch.batches {
-            let groups: Vec<PlacedGroup<WireFrame>> = placed.by_ref().take(b.jobs.len()).collect();
-            let mut rt = self.clusters[b.cluster].lock().expect("cluster rt");
-            let ClusterRt { medium, aux } = &mut *rt;
-            let placements = medium.merge_placed(groups);
-            b.placements = b
-                .senders
-                .iter()
-                .zip(&placements)
-                .map(|(&src, p)| (src, p.end))
-                .collect();
-            for (p, a) in placements.iter().zip(std::mem::take(&mut b.auxes)) {
-                if let Some(a) = a {
-                    aux.insert(p.handle, a);
+                let senders: Vec<NodeId> = b.requests.iter().map(|r| r.frame.src).collect();
+                let placements =
+                    medium.place(std::mem::take(&mut b.requests), at, &probes, &audible);
+                b.placements = senders
+                    .into_iter()
+                    .zip(&placements)
+                    .map(|(src, p)| (src, p.end))
+                    .collect();
+                for (p, a) in placements.iter().zip(std::mem::take(&mut b.auxes)) {
+                    if let Some(a) = a {
+                        aux.insert(p.handle, a);
+                    }
                 }
             }
             b.resolvable = medium.drain_resolvable(b.next);
@@ -1087,7 +998,7 @@ impl Engine {
         }
     }
 
-    /// Phase 6 on shard `si`, charged to that shard: schedule `TxDone`
+    /// Phase 4 on shard `si`, charged to that shard: schedule `TxDone`
     /// for its own senders and sample its own receivers of every drained
     /// frame through the pure MAC kernel and its own link-model instance
     /// — only the source's contact candidates in the second the frame
@@ -1147,7 +1058,7 @@ impl Engine {
         });
     }
 
-    /// Leader phase 7: merge each batch's receptions and emit the
+    /// Leader phase 5: merge each batch's receptions and emit the
     /// instrumentation ops of its resolved frames, together with the log
     /// ops the cluster's hosting shards buffered during the epoch.
     fn frame_ops(&self, scratch: &mut BarrierScratch, clock: &mut Instant) {
@@ -1247,7 +1158,7 @@ impl Engine {
         });
     }
 
-    /// Phase 8, rendezvous stops only: drain every shard's backplane
+    /// Phase 6, rendezvous stops only: drain every shard's backplane
     /// sends and cross-lane messages (shard order), resolve the backplane
     /// batch in canonical sender order with fault filtering, and route
     /// cross-lane messages — the only phase where clusters exchange
@@ -2071,8 +1982,6 @@ fn pack_supergroups(
             shards,
             workers,
             scratch: RwLock::new(BarrierScratch::default()),
-            cursor: AtomicUsize::new(0),
-            placed: Mutex::new(Vec::new()),
         })
         .collect();
     (supergroups, sg_of)

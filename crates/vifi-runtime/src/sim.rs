@@ -58,7 +58,7 @@ use std::collections::HashMap;
 use vifi_core::VifiConfig;
 use vifi_faults::{ChannelOverrides, FaultPlan};
 use vifi_mac::{BackplaneParams, MacParams};
-use vifi_phy::{NodeId, NodeKind};
+use vifi_phy::NodeId;
 use vifi_sim::{HierarchicalSchedule, Rng, SimDuration};
 use vifi_testbeds::trace::TraceSimSetup;
 use vifi_testbeds::{BeaconTrace, ContactAnalysis, Scenario};
@@ -707,18 +707,10 @@ impl RunOutcome {
     }
 }
 
-/// Kind of a node in this simulation (diagnostic helper).
-pub fn node_kind_name(kind: NodeKind) -> &'static str {
-    match kind {
-        NodeKind::Vehicle => "vehicle",
-        NodeKind::Basestation => "basestation",
-        NodeKind::Wired => "wired",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vifi_phy::NodeKind;
     use vifi_sim::SimDuration;
     use vifi_testbeds::{dieselnet_ch1, generate_beacon_trace, vanlan};
 

@@ -248,9 +248,9 @@ fn faulted_runs_differ_from_unfaulted_runs() {
     assert_ne!(clean, faulted, "faults must perturb the coupled run");
 }
 
-/// City-scale fleets: the scenarios PR 7's parallel audibility-partitioned
-/// barrier is sized for. Names contain `city` so the CI `test-shards`
-/// matrix can route these legs (`--test-threads=1`, filter `city`).
+/// City-scale fleets: the scenarios with the largest barrier batches.
+/// Names contain `city` so the CI `test-shards` matrix can route these
+/// legs (`--test-threads=1`, filter `city`).
 fn city_scenarios() -> Vec<(&'static str, Scenario)> {
     vec![
         ("vanlan(64)", vanlan(64)),
@@ -268,11 +268,10 @@ const CITY_SECS: u64 = 8;
 #[test]
 fn city_coupled_shards_2_4_8_16_are_bit_identical_to_sequential() {
     // The tentpole guarantee at city scale: the parallel barrier
-    // (audibility-partitioned probe + placement phases on the worker
-    // pool) must not leak the shard count, the group structure, or the
-    // worker count into the outcome — at 2/4/8/16 shards the merged run
-    // equals the sequential one bit for bit on 64- and 128-vehicle
-    // fleets, across ≥ 3 seeds.
+    // (probes on the worker pool, one placement pass on the leader)
+    // must not leak the shard count or the worker count into the
+    // outcome — at 2/4/8/16 shards the merged run equals the sequential
+    // one bit for bit on 64- and 128-vehicle fleets, across ≥ 3 seeds.
     for (name, scenario) in city_scenarios() {
         for seed in CITY_SEEDS {
             let sequential = Simulation::deployment(&scenario, fleet_cfg(seed, 1, CITY_SECS))
