@@ -1,9 +1,9 @@
 //! Hot-path micro-benchmark snapshot: measures every path named by the
 //! ROADMAP (relay probability, Gilbert–Elliott fades, shadow-field
 //! sampling, link-quality lookups, event-queue churn, session
-//! aggregation, set-up contact analysis, TCP driver ticks) with the
-//! statistics-bearing harness and writes a `BENCH_<name>.json` snapshot
-//! (`{bench → ns/iter}`).
+//! aggregation, endpoint bookkeeping, set-up contact analysis, TCP
+//! driver ticks) with the statistics-bearing harness and writes a
+//! `BENCH_<name>.json` snapshot (`{bench → ns/iter}`).
 //!
 //! Usage:
 //!
@@ -30,7 +30,7 @@ use vifi_bench::harness::{BenchConfig, Harness};
 use vifi_core::config::Coordination;
 use vifi_core::endpoint::DataFrame;
 use vifi_core::prob::{expected_relays, relay_probability, PreparedRelay, RelayInputs};
-use vifi_core::{Direction, PacketId, VifiPayload};
+use vifi_core::{BeaconPayload, Direction, Endpoint, PacketId, Role, VifiConfig, VifiPayload};
 use vifi_faults::FaultPlan;
 use vifi_mac::WireFrame;
 use vifi_metrics::{sessions_from_ratios, SessionDef, SlotSeries};
@@ -120,6 +120,7 @@ fn register(h: &mut Harness) {
     bench_event_queue(h);
     bench_sessions(h);
     bench_wire_frame(h);
+    bench_endpoint(h);
     bench_runlog_stream(h);
     bench_fleet_sharded(h);
     bench_setup_and_tcp(h);
@@ -178,6 +179,64 @@ fn bench_wire_frame(h: &mut Harness) {
     h.bench("frame_encode_decode", || {
         let wire = WireFrame::encode(NodeId(3), 1034, std::hint::black_box(&payload));
         wire.decode::<VifiPayload>().expect("codec round-trip")
+    });
+}
+
+fn bench_endpoint(h: &mut Harness) {
+    let cfg = VifiConfig::default();
+    let bs_ids: Vec<NodeId> = (1..=30).map(NodeId).collect();
+    // A CBR vehicle out of range of every BS: its backlog sits at
+    // `max_data_queue` and none of it can go out. One iteration is the
+    // engine's work per packet there — accept it (the queue bound drops
+    // the oldest waiting frame), try the interface, re-arm the wake-up.
+    let mut veh = Endpoint::new(
+        NodeId(0),
+        Role::Vehicle,
+        cfg.clone(),
+        bs_ids.clone(),
+        Rng::new(1),
+    );
+    let app = Bytes::from(vec![0u8; 500]);
+    let mut now = SimTime::ZERO;
+    for _ in 0..cfg.max_data_queue {
+        veh.send_app(app.clone(), None, now);
+    }
+    h.bench("endpoint_unanchored_cbr", || {
+        now += SimDuration::from_millis(100);
+        veh.send_app(app.clone(), None, now);
+        let pulled = veh.pull_frame(now).is_some();
+        (pulled, veh.next_wakeup())
+    });
+    // Beacon work at a vehicle among 30 basestations that hear each other
+    // and it: build its beacon (anchor choice, aux set, payload) and hear
+    // one BS beacon listing all 30 neighbours both ways, the 30 BSes
+    // taking turns at the beacon rate.
+    let beacons: Vec<VifiPayload> = bs_ids
+        .iter()
+        .map(|&b| {
+            let others: Vec<NodeId> = (0..=30).map(NodeId).filter(|&n| n != b).collect();
+            VifiPayload::Beacon(BeaconPayload {
+                node: b,
+                incoming: others.iter().map(|&n| (n, 0.8)).collect(),
+                outgoing: others.iter().map(|&n| (n, 0.7)).collect(),
+                vehicle: None,
+            })
+        })
+        .collect();
+    let mut veh = Endpoint::new(NodeId(0), Role::Vehicle, cfg.clone(), bs_ids, Rng::new(2));
+    let step = cfg.beacon_period / beacons.len() as u64;
+    let mut now = SimTime::ZERO;
+    for b in &beacons {
+        now += step;
+        veh.on_frame(b, now);
+    }
+    let mut next = 0;
+    h.bench("endpoint_beacon_30nbr", || {
+        now += step;
+        let (_, bytes, _) = veh.make_beacon(now);
+        veh.on_frame(&beacons[next], now);
+        next = (next + 1) % beacons.len();
+        bytes
     });
 }
 

@@ -18,10 +18,8 @@
 //! Vehicle beacons additionally announce the current anchor, the previous
 //! anchor (for salvaging) and the auxiliary set (§4.3).
 
-use std::collections::HashMap;
-
 use vifi_phy::NodeId;
-use vifi_sim::{SimDuration, SimTime};
+use vifi_sim::{FxHashMap, SimDuration, SimTime};
 
 /// Per-neighbor incoming-probability estimator: per-window beacon counts,
 /// exponentially averaged.
@@ -140,36 +138,44 @@ impl BeaconPayload {
 /// probabilities plus gossip-learned third-party link probabilities.
 #[derive(Clone, Debug)]
 pub struct ProbView {
+    me: NodeId,
     window: SimDuration,
     expected_per_window: u32,
     alpha: f64,
     timeout: SimDuration,
     /// Measured: neighbor → estimator for p(neighbor → me).
-    incoming: HashMap<NodeId, ProbEstimator>,
-    /// Learned from gossip: (from, to) → (prob, heard_at).
-    learned: HashMap<(NodeId, NodeId), (f64, SimTime)>,
+    incoming: FxHashMap<NodeId, ProbEstimator>,
+    /// Learned from gossip: (from, to) → (prob, heard_at), for links not
+    /// from me.
+    learned: FxHashMap<(NodeId, NodeId), (f64, SimTime)>,
+    /// Learned from gossip: Z → (p(me → Z), heard_at), the entries my
+    /// beacons echo as outgoing.
+    outgoing: FxHashMap<NodeId, (f64, SimTime)>,
 }
 
 impl ProbView {
-    /// New view.
+    /// New view, held by node `me`.
     pub fn new(
+        me: NodeId,
         window: SimDuration,
         expected_per_window: u32,
         alpha: f64,
         timeout: SimDuration,
     ) -> Self {
         ProbView {
+            me,
             window,
             expected_per_window,
             alpha,
             timeout,
-            incoming: HashMap::new(),
-            learned: HashMap::new(),
+            incoming: FxHashMap::default(),
+            learned: FxHashMap::default(),
+            outgoing: FxHashMap::default(),
         }
     }
 
-    /// Ingest a beacon heard from `payload.node` at `now` by `me`.
-    pub fn on_beacon(&mut self, me: NodeId, payload: &BeaconPayload, now: SimTime) {
+    /// Ingest a beacon heard from `payload.node` at `now`.
+    pub fn on_beacon(&mut self, payload: &BeaconPayload, now: SimTime) {
         let from = payload.node;
         let est = self.incoming.entry(from).or_insert_with(|| {
             ProbEstimator::new(self.window, self.expected_per_window, self.alpha, now)
@@ -183,12 +189,20 @@ impl ProbView {
         // sender's outgoing list teaches sender → Z, except Z = me:
         // p(sender → me) is our own measurement, never gossip.
         for &(y, p) in &payload.incoming {
-            self.learned.insert((y, from), (p, now));
+            self.learn(y, from, p, now);
         }
         for &(z, p) in &payload.outgoing {
-            if z != me {
-                self.learned.insert((from, z), (p, now));
+            if z != self.me {
+                self.learn(from, z, p, now);
             }
+        }
+    }
+
+    fn learn(&mut self, a: NodeId, b: NodeId, p: f64, now: SimTime) {
+        if a == self.me {
+            self.outgoing.insert(b, (p, now));
+        } else {
+            self.learned.insert((a, b), (p, now));
         }
     }
 
@@ -202,60 +216,64 @@ impl ProbView {
         }
     }
 
-    /// p(a → b) for arbitrary nodes: own measurement when `b == me` was
-    /// used to store it; otherwise gossip, 0 when unknown or stale.
+    /// p(a → b) as learned from gossip, 0 when unknown or stale. Links
+    /// into me are measured, not gossiped: ask [`Self::incoming_prob`].
     pub fn link_prob(&self, a: NodeId, b: NodeId, now: SimTime) -> f64 {
-        match self.learned.get(&(a, b)) {
+        let entry = if a == self.me {
+            self.outgoing.get(&b)
+        } else {
+            self.learned.get(&(a, b))
+        };
+        match entry {
             Some(&(p, at)) if now.saturating_since(at) <= self.timeout => p,
             _ => 0.0,
         }
     }
 
-    /// Neighbors heard within the timeout, with their incoming estimates.
+    /// Neighbors heard within the timeout, with their incoming estimates,
+    /// ascending by id.
     pub fn live_neighbors(&mut self, now: SimTime) -> Vec<(NodeId, f64)> {
         let timeout = self.timeout;
-        let mut out: Vec<(NodeId, f64)> = Vec::new();
-        let ids: Vec<NodeId> = self.incoming.keys().copied().collect();
-        for id in ids {
-            let est = self.incoming.get_mut(&id).unwrap();
-            if now.saturating_since(est.last_heard()) <= timeout {
-                let p = est.estimate(now);
-                out.push((id, p));
-            }
-        }
-        out.sort_by_key(|(id, _)| *id);
+        let mut out: Vec<(NodeId, f64)> = self
+            .incoming
+            .iter_mut()
+            .filter(|(_, est)| now.saturating_since(est.last_heard()) <= timeout)
+            .map(|(&id, est)| (id, est.estimate(now)))
+            .collect();
+        out.sort_unstable_by_key(|&(id, _)| id);
         out
     }
 
     /// Drop neighbors and gossip entries that have gone stale (bounds
-    /// memory on long runs).
+    /// memory on long runs). The neighbors dropped are exactly those
+    /// [`Self::live_neighbors`] skips.
     pub fn expire(&mut self, now: SimTime) {
         let timeout = self.timeout;
-        self.incoming
-            .retain(|_, est| now.saturating_since(est.last_heard()) <= timeout);
-        self.learned
-            .retain(|_, &mut (_, at)| now.saturating_since(at) <= timeout);
+        let fresh = |at: SimTime| now.saturating_since(at) <= timeout;
+        self.incoming.retain(|_, est| fresh(est.last_heard()));
+        self.learned.retain(|_, &mut (_, at)| fresh(at));
+        self.outgoing.retain(|_, &mut (_, at)| fresh(at));
     }
 
-    /// Build this node's beacon payload: measured incoming + learned
+    /// Build this node's beacon payload: `incoming` is this node's
+    /// [`Self::live_neighbors`] at `now`; the outgoing list is the learned
     /// entries about links *from me* (they came from my neighbors'
     /// beacons naming me).
     pub fn make_payload(
-        &mut self,
-        me: NodeId,
+        &self,
+        incoming: Vec<(NodeId, f64)>,
         vehicle: Option<VehicleInfo>,
         now: SimTime,
     ) -> BeaconPayload {
-        let incoming = self.live_neighbors(now);
         let mut outgoing: Vec<(NodeId, f64)> = self
-            .learned
+            .outgoing
             .iter()
-            .filter(|((a, _), (_, at))| *a == me && now.saturating_since(*at) <= self.timeout)
-            .map(|((_, b), (p, _))| (*b, *p))
+            .filter(|(_, &(_, at))| now.saturating_since(at) <= self.timeout)
+            .map(|(&z, &(p, _))| (z, p))
             .collect();
-        outgoing.sort_by_key(|(id, _)| *id);
+        outgoing.sort_unstable_by_key(|&(id, _)| id);
         BeaconPayload {
-            node: me,
+            node: self.me,
             incoming,
             outgoing,
             vehicle,
@@ -327,18 +345,18 @@ mod tests {
         assert!((p - 0.2).abs() < 1e-12, "partial estimate {p}");
     }
 
+    const ME: NodeId = NodeId(0);
+
     fn view() -> ProbView {
-        ProbView::new(ms(1000), 10, 0.5, ms(2500))
+        ProbView::new(ME, ms(1000), 10, 0.5, ms(2500))
     }
 
     #[test]
     fn view_measures_incoming() {
-        let me = NodeId(0);
         let peer = NodeId(1);
         let mut v = view();
         for i in 0..10 {
             v.on_beacon(
-                me,
                 &BeaconPayload {
                     node: peer,
                     incoming: vec![],
@@ -355,12 +373,10 @@ mod tests {
 
     #[test]
     fn view_learns_gossip_both_ways() {
-        let me = NodeId(0);
         let peer = NodeId(1);
         let third = NodeId(2);
         let mut v = view();
         v.on_beacon(
-            me,
             &BeaconPayload {
                 node: peer,
                 incoming: vec![(third, 0.7)], // p(third → peer)
@@ -376,10 +392,8 @@ mod tests {
 
     #[test]
     fn gossip_expires() {
-        let me = NodeId(0);
         let mut v = view();
         v.on_beacon(
-            me,
             &BeaconPayload {
                 node: NodeId(1),
                 incoming: vec![(NodeId(2), 0.9)],
@@ -397,11 +411,10 @@ mod tests {
     fn payload_echoes_links_about_me() {
         // Peer's beacon says p(me → peer) = 0.8 (its incoming list names
         // me): my own payload must then carry (peer, 0.8) as outgoing.
-        let me = NodeId(0);
+        let me = ME;
         let peer = NodeId(1);
         let mut v = view();
         v.on_beacon(
-            me,
             &BeaconPayload {
                 node: peer,
                 incoming: vec![(me, 0.8)],
@@ -410,19 +423,24 @@ mod tests {
             },
             t(0),
         );
-        let payload = v.make_payload(me, None, t(500));
+        let incoming = v.live_neighbors(t(500));
+        let payload = v.make_payload(incoming, None, t(500));
         assert_eq!(payload.node, me);
         assert!(payload.outgoing.contains(&(peer, 0.8)));
         assert_eq!(payload.incoming.len(), 1, "peer is a live neighbor");
+        // The relay math reads the same entry as p(me → peer).
+        assert_eq!(v.link_prob(me, peer, t(500)), 0.8);
+        v.expire(t(3000));
+        let payload = v.make_payload(Vec::new(), None, t(3000));
+        assert!(payload.outgoing.is_empty(), "echoed entries expire too");
     }
 
     #[test]
     fn gossip_does_not_override_own_measurement_channel() {
         // Entries about links *into me* are ignored (I measure those).
-        let me = NodeId(0);
+        let me = ME;
         let mut v = view();
         v.on_beacon(
-            me,
             &BeaconPayload {
                 node: NodeId(1),
                 incoming: vec![],
@@ -460,11 +478,9 @@ mod tests {
 
     #[test]
     fn expire_bounds_memory() {
-        let me = NodeId(0);
         let mut v = view();
         for i in 0..100u32 {
             v.on_beacon(
-                me,
                 &BeaconPayload {
                     node: NodeId(1 + i),
                     incoming: vec![(NodeId(200), 0.5)],

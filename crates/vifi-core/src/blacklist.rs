@@ -17,10 +17,8 @@
 //! epoch engine without new cross-shard effects, and `vifi-handoff` can
 //! reuse it to harden the §3 replay policies.
 
-use std::collections::HashMap;
-
 use vifi_phy::NodeId;
-use vifi_sim::SimTime;
+use vifi_sim::{FxHashMap, SimTime};
 
 use crate::config::BlacklistParams;
 
@@ -48,7 +46,7 @@ impl Entry {
 #[derive(Clone, Debug, Default)]
 pub struct Blacklist {
     params: BlacklistParams,
-    entries: HashMap<NodeId, Entry>,
+    entries: FxHashMap<NodeId, Entry>,
     /// Anchors evicted for silence (observability counter).
     pub evictions: u64,
 }
@@ -59,7 +57,7 @@ impl Blacklist {
     pub fn new(params: BlacklistParams) -> Self {
         Blacklist {
             params,
-            entries: HashMap::new(),
+            entries: FxHashMap::default(),
             evictions: 0,
         }
     }

@@ -15,11 +15,11 @@
 //! outgoing frames. It never blocks, never sleeps, and never looks at a
 //! wall clock.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use vifi_phy::NodeId;
-use vifi_sim::{Rng, SimDuration, SimTime};
+use vifi_sim::{FxHashMap, Rng, SimDuration, SimTime};
 
 use crate::beacon::{BeaconPayload, ProbView, VehicleInfo};
 use crate::bitmap::{RxBitmap, WireBitmap};
@@ -185,14 +185,15 @@ pub enum Action {
     Stat(StatEvent),
 }
 
-/// A packet awaiting acknowledgment at its source.
+/// A packet awaiting acknowledgment at its source. It has a frame in
+/// `tx_queue` exactly while `deadline` is `None`: queued for its first
+/// transmission or for a retransmission.
 struct Pending {
     app: Bytes,
     dst_vehicle: Option<NodeId>, // downstream: the vehicle it is for
     tx_count: u32,
     last_tx: Option<SimTime>,
     deadline: Option<SimTime>,
-    in_queue: bool,
 }
 
 /// An overheard, not-yet-acked packet buffered at an auxiliary.
@@ -233,19 +234,28 @@ pub struct Endpoint {
     cfg: VifiConfig,
     rng: Rng,
     view: ProbView,
-    /// Which node ids are basestations (static deployment knowledge, the
-    /// equivalent of recognizing infrastructure BSSIDs).
-    bs_ids: Vec<NodeId>,
+    /// `bs_mask[id.index()]`: whether node `id` is a basestation (static
+    /// deployment knowledge, the equivalent of recognizing infrastructure
+    /// BSSIDs). Ids past the end are not.
+    bs_mask: Vec<bool>,
 
     // ---- flow-source state (vehicle: upstream; anchor: downstream) ----
     next_seq: u64,
-    pending: HashMap<u64, Pending>,
+    /// Every change goes through `send_app`, `prepare_data`, `on_wakeup`
+    /// or `remove_pending`, which keep the two indexes below in step.
+    pending: FxHashMap<u64, Pending>,
+    /// Pending packets never transmitted (`tx_count == 0`): the waiting
+    /// frames that `max_data_queue` bounds.
+    untransmitted: usize,
+    /// `(deadline, seq)` of every pending packet with an armed
+    /// retransmission deadline, earliest first.
+    deadlines: BTreeSet<(SimTime, u64)>,
     retx: RetxTimer,
 
     // ---- flow-destination state ----
-    rx_bitmaps: HashMap<NodeId, RxBitmap>,
-    delivered: HashMap<NodeId, BTreeSet<u64>>,
-    acked_once: HashMap<NodeId, BTreeSet<u64>>,
+    rx_bitmaps: FxHashMap<NodeId, RxBitmap>,
+    delivered: FxHashMap<NodeId, BTreeSet<u64>>,
+    acked_once: FxHashMap<NodeId, BTreeSet<u64>>,
 
     // ---- vehicle state ----
     anchor: Option<NodeId>,
@@ -255,11 +265,12 @@ pub struct Endpoint {
     blacklist: Blacklist,
 
     // ---- BS state ----
-    vehicles: HashMap<NodeId, VehicleView>,
+    vehicles: FxHashMap<NodeId, VehicleView>,
     contenders: Vec<Contender>,
+    /// This BS's own downstream sends, ascending by `seq`.
     internet_buf: VecDeque<InternetPacket>,
     /// (vehicle, epoch) pairs already salvaged.
-    salvaged_epochs: HashMap<NodeId, u64>,
+    salvaged_epochs: FxHashMap<NodeId, u64>,
     relay_phase: SimDuration,
 
     /// Reusable relay-math buffer pool: one set of allocations per
@@ -292,6 +303,7 @@ impl Endpoint {
         let relay_phase =
             SimDuration::from_micros(rng.below(cfg.relay_check_period.as_micros().max(1)));
         let view = ProbView::new(
+            me,
             cfg.estimate_window,
             cfg.beacons_per_window(),
             cfg.alpha,
@@ -299,27 +311,33 @@ impl Endpoint {
         );
         let retx = RetxTimer::from_config(&cfg);
         let blacklist = Blacklist::new(cfg.blacklist);
+        let mut bs_mask = vec![false; bs_ids.iter().map(|b| b.index() + 1).max().unwrap_or(0)];
+        for b in bs_ids {
+            bs_mask[b.index()] = true;
+        }
         Endpoint {
             me,
             role,
             cfg,
             rng,
             view,
-            bs_ids,
+            bs_mask,
             next_seq: 0,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
+            untransmitted: 0,
+            deadlines: BTreeSet::new(),
             retx,
-            rx_bitmaps: HashMap::new(),
-            delivered: HashMap::new(),
-            acked_once: HashMap::new(),
+            rx_bitmaps: FxHashMap::default(),
+            delivered: FxHashMap::default(),
+            acked_once: FxHashMap::default(),
             anchor: None,
             prev_anchor: None,
             anchor_epoch: 0,
             blacklist,
-            vehicles: HashMap::new(),
+            vehicles: FxHashMap::default(),
             contenders: Vec::new(),
             internet_buf: VecDeque::new(),
-            salvaged_epochs: HashMap::new(),
+            salvaged_epochs: FxHashMap::default(),
             relay_phase,
             relay_scratch: Vec::new(),
             tx_queue: VecDeque::new(),
@@ -363,7 +381,7 @@ impl Endpoint {
     }
 
     fn is_bs(&self, n: NodeId) -> bool {
-        self.bs_ids.contains(&n)
+        self.bs_mask.get(n.index()).copied().unwrap_or(false)
     }
 
     // ------------------------------------------------------------------
@@ -409,9 +427,9 @@ impl Endpoint {
                 tx_count: 0,
                 last_tx: None,
                 deadline: None,
-                in_queue: true,
             },
         );
+        self.untransmitted += 1;
         self.tx_queue.push_back(OutFrame::Data { seq });
         self.enforce_queue_bound();
         id
@@ -421,31 +439,32 @@ impl Endpoint {
     /// data packets are waiting, the oldest waiting one is dropped. Frames
     /// already transmitted (awaiting ACK) are unaffected.
     fn enforce_queue_bound(&mut self) {
-        let waiting = self
-            .tx_queue
-            .iter()
-            .filter(|f| {
-                matches!(f, OutFrame::Data { seq } if self
-                .pending
-                .get(seq)
-                .map(|p| p.tx_count == 0)
-                .unwrap_or(false))
-            })
-            .count();
-        if waiting <= self.cfg.max_data_queue {
+        if self.untransmitted <= self.cfg.max_data_queue {
             return;
         }
         // Drop the oldest never-transmitted data frame.
-        if let Some(pos) = self.tx_queue.iter().position(|f| {
-            matches!(f, OutFrame::Data { seq } if self
-                .pending
-                .get(seq)
-                .map(|p| p.tx_count == 0)
-                .unwrap_or(false))
-        }) {
-            if let Some(OutFrame::Data { seq }) = self.tx_queue.remove(pos) {
-                self.pending.remove(&seq);
-            }
+        let pending = &self.pending;
+        let pos = self.tx_queue.iter().position(|f| {
+            matches!(f, OutFrame::Data { seq } if pending.get(seq).is_some_and(|p| p.tx_count == 0))
+        });
+        if let Some(OutFrame::Data { seq }) = pos.and_then(|pos| self.tx_queue.remove(pos)) {
+            self.remove_pending(seq);
+        }
+    }
+
+    /// Forget pending packet `seq`, keeping the untransmitted count and
+    /// the deadline set in step. Every removal from `pending` goes
+    /// through here: ACK, bitmap ACK, salvage hand-over, queue-bound drop
+    /// and retry-limit drop.
+    fn remove_pending(&mut self, seq: u64) {
+        let Some(p) = self.pending.remove(&seq) else {
+            return;
+        };
+        if p.tx_count == 0 {
+            self.untransmitted -= 1;
+        }
+        if let Some(deadline) = p.deadline {
+            self.deadlines.remove(&(deadline, seq));
         }
     }
 
@@ -462,72 +481,62 @@ impl Endpoint {
     /// `None` when the queue is empty or every queued data frame lacks a
     /// destination (vehicle with no anchor).
     pub fn pull_frame(&mut self, now: SimTime) -> Option<(VifiPayload, u32)> {
-        let mut deferred: VecDeque<OutFrame> = VecDeque::new();
-        let mut picked = None;
+        if self.role == Role::Vehicle && self.anchor.is_none() {
+            // No data frame can go out without an anchor; ACKs can. The
+            // data frames keep their places in the queue.
+            let pos = self
+                .tx_queue
+                .iter()
+                .position(|f| !matches!(f, OutFrame::Data { .. }))?;
+            let of = self.tx_queue.remove(pos)?;
+            return self.emit(of, now);
+        }
         while let Some(of) = self.tx_queue.pop_front() {
-            match of {
-                OutFrame::Ack(a) => {
-                    picked = Some(self.finish_ack(a));
-                    break;
-                }
-                OutFrame::Relay(d) => {
-                    self.relays_tx += 1;
-                    let bytes = self.cfg.data_header_bytes + d.app.len() as u32;
-                    picked = Some((VifiPayload::Data(d), bytes));
-                    break;
-                }
-                OutFrame::Data { seq } => {
-                    match self.prepare_data(seq, now) {
-                        Some(out) => {
-                            picked = Some(out);
-                            break;
-                        }
-                        None => {
-                            // Unsendable right now (no anchor) or obsolete
-                            // (acked while queued). Keep iff still pending.
-                            if let Some(p) = self.pending.get_mut(&seq) {
-                                p.in_queue = true;
-                                deferred.push_back(OutFrame::Data { seq });
-                            }
-                        }
-                    }
-                }
+            if let Some(out) = self.emit(of, now) {
+                return Some(out);
             }
         }
-        // Re-queue deferred data behind whatever else remains, preserving
-        // relative order.
-        for of in deferred.into_iter().rev() {
-            self.tx_queue.push_front(of);
-        }
-        picked
+        None
     }
 
-    fn finish_ack(&mut self, a: AckFrame) -> (VifiPayload, u32) {
-        self.acks_tx += 1;
-        let bytes = self.cfg.ack_bytes;
-        (VifiPayload::Ack(a), bytes)
+    /// Put one dequeued frame on the air. `None` for the frame of a
+    /// packet acknowledged while it was queued: it is obsolete and goes.
+    fn emit(&mut self, of: OutFrame, now: SimTime) -> Option<(VifiPayload, u32)> {
+        match of {
+            OutFrame::Ack(a) => {
+                self.acks_tx += 1;
+                Some((VifiPayload::Ack(a), self.cfg.ack_bytes))
+            }
+            OutFrame::Relay(d) => {
+                self.relays_tx += 1;
+                let bytes = self.cfg.data_header_bytes + d.app.len() as u32;
+                Some((VifiPayload::Data(d), bytes))
+            }
+            OutFrame::Data { seq } => self.prepare_data(seq, now),
+        }
     }
 
     fn prepare_data(&mut self, seq: u64, now: SimTime) -> Option<(VifiPayload, u32)> {
+        let p = self.pending.get_mut(&seq)?;
         // Resolve the flow destination at transmission time (§4.3: the
         // anchor in force right now carries the connection).
-        let (flow_dst, reverse_peer) = match self.role {
-            Role::Vehicle => {
-                let anchor = self.anchor?;
-                (anchor, anchor)
-            }
-            Role::Bs => {
-                let p = self.pending.get(&seq)?;
-                let v = p.dst_vehicle?;
-                (v, v)
-            }
+        let flow_dst = match self.role {
+            Role::Vehicle => self.anchor?,
+            Role::Bs => p.dst_vehicle?,
         };
-        let p = self.pending.get_mut(&seq)?;
-        p.in_queue = false;
+        if p.tx_count == 0 {
+            self.untransmitted -= 1;
+        }
         p.tx_count += 1;
         p.last_tx = Some(now);
+        // Arm the retransmission deadline now that it is actually in the
+        // air.
+        let deadline = now + self.retx.timeout();
+        debug_assert!(p.deadline.is_none(), "a queued packet has no deadline");
+        p.deadline = Some(deadline);
+        self.deadlines.insert((deadline, seq));
         self.data_tx += 1;
-        let bitmap = self.rx_bitmaps.get(&reverse_peer).and_then(|b| b.wire());
+        let bitmap = self.rx_bitmaps.get(&flow_dst).and_then(|b| b.wire());
         let app = p.app.clone();
         let frame = DataFrame {
             id: PacketId {
@@ -540,12 +549,6 @@ impl Endpoint {
             app,
             bitmap,
         };
-        // Arm the retransmission deadline now that it is actually in the
-        // air.
-        let deadline = now + self.retx.timeout();
-        if let Some(p) = self.pending.get_mut(&seq) {
-            p.deadline = Some(deadline);
-        }
         let bytes = self.cfg.data_header_bytes + frame.app.len() as u32;
         Some((VifiPayload::Data(frame), bytes))
     }
@@ -557,21 +560,26 @@ impl Endpoint {
     /// Produce this node's beacon (the runtime calls this on the beacon
     /// schedule). Vehicles refresh their anchor decision here — anchor
     /// changes propagate "at the beaconing frequency" (§4.3).
+    ///
+    /// The live neighbours are read once and serve anchor selection, the
+    /// aux set and the payload: estimates are idempotent at a fixed `now`,
+    /// and `expire` drops exactly the neighbours the live list skips.
     pub fn make_beacon(&mut self, now: SimTime) -> (VifiPayload, u32, Vec<Action>) {
+        let neighbors = self.view.live_neighbors(now);
         let mut actions = Vec::new();
         let vehicle_info = if self.role == Role::Vehicle {
-            actions.extend(self.refresh_anchor(now));
+            actions.extend(self.refresh_anchor(&neighbors, now));
             Some(VehicleInfo {
                 anchor: self.anchor,
                 prev_anchor: self.prev_anchor,
                 epoch: self.anchor_epoch,
-                aux: self.aux_set(now),
+                aux: self.aux_set(&neighbors),
             })
         } else {
             None
         };
         self.view.expire(now);
-        let payload = self.view.make_payload(self.me, vehicle_info, now);
+        let payload = self.view.make_payload(neighbors, vehicle_info, now);
         let bytes = payload.wire_bytes(self.cfg.beacon_base_bytes);
         (VifiPayload::Beacon(payload), bytes, actions)
     }
@@ -579,19 +587,18 @@ impl Endpoint {
     /// The current auxiliary set as the vehicle would announce it right
     /// now (instrumentation hook for the runtime's per-transmission logs).
     pub fn current_aux(&mut self, now: SimTime) -> Vec<NodeId> {
-        self.aux_set(now)
+        let neighbors = self.view.live_neighbors(now);
+        self.aux_set(&neighbors)
     }
 
-    /// The current auxiliary set: every live BS neighbor except the anchor
-    /// (§4.3: "We currently pick all BSes that the vehicle hears as
+    /// The auxiliary set among the live `neighbors`: every BS except the
+    /// anchor (§4.3: "We currently pick all BSes that the vehicle hears as
     /// auxiliaries").
-    fn aux_set(&mut self, now: SimTime) -> Vec<NodeId> {
-        let anchor = self.anchor;
-        self.view
-            .live_neighbors(now)
-            .into_iter()
-            .map(|(id, _)| id)
-            .filter(|id| self.bs_ids.contains(id) && Some(*id) != anchor)
+    fn aux_set(&self, neighbors: &[(NodeId, f64)]) -> Vec<NodeId> {
+        neighbors
+            .iter()
+            .map(|&(id, _)| id)
+            .filter(|&id| self.is_bs(id) && Some(id) != self.anchor)
             .collect()
     }
 
@@ -601,14 +608,13 @@ impl Endpoint {
     /// and blacklisted candidates are skipped — unless *every* live BS is
     /// blacklisted, in which case the best of them is used anyway rather
     /// than going dark.
-    fn refresh_anchor(&mut self, now: SimTime) -> Vec<Action> {
+    fn refresh_anchor(&mut self, neighbors: &[(NodeId, f64)], now: SimTime) -> Vec<Action> {
         if let Some(cur) = self.anchor {
             self.blacklist.check_anchor(cur, now);
         }
-        let neighbors = self.view.live_neighbors(now);
         let mut best: Option<(NodeId, f64)> = None;
         let mut best_any: Option<(NodeId, f64)> = None;
-        for (id, p) in neighbors {
+        for &(id, p) in neighbors {
             if !self.is_bs(id) {
                 continue;
             }
@@ -677,7 +683,7 @@ impl Endpoint {
     }
 
     fn on_beacon(&mut self, b: &BeaconPayload, now: SimTime) -> Vec<Action> {
-        self.view.on_beacon(self.me, b, now);
+        self.view.on_beacon(b, now);
         if self.is_bs(b.node) {
             self.blacklist.on_beacon(b.node, now);
         }
@@ -860,12 +866,13 @@ impl Endpoint {
     }
 
     fn mark_acked(&mut self, seq: u64) {
-        self.pending.remove(&seq);
+        self.remove_pending(seq);
         // Mark the salvage buffer copy as acknowledged.
-        for pkt in self.internet_buf.iter_mut() {
-            if pkt.id.seq == seq && pkt.id.origin == self.me {
-                pkt.acked = true;
-            }
+        if let Ok(i) = self
+            .internet_buf
+            .binary_search_by_key(&seq, |pkt| pkt.id.seq)
+        {
+            self.internet_buf[i].acked = true;
         }
     }
 
@@ -882,14 +889,16 @@ impl Endpoint {
                 vehicle,
             } => {
                 let mut packets = Vec::new();
-                for pkt in self.internet_buf.iter_mut() {
+                for i in 0..self.internet_buf.len() {
+                    let pkt = &mut self.internet_buf[i];
                     if pkt.vehicle == *vehicle
                         && !pkt.acked
                         && now.saturating_since(pkt.arrived) <= self.cfg.salvage_threshold
                     {
                         packets.push(pkt.app.clone());
                         pkt.acked = true; // handed over; stop retransmitting
-                        self.pending.remove(&pkt.id.seq);
+                        let seq = pkt.id.seq;
+                        self.remove_pending(seq);
                         self.salvage_served += 1;
                     }
                 }
@@ -922,7 +931,7 @@ impl Endpoint {
 
     /// The next instant this endpoint needs a wake-up, if any.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let retx = self.pending.values().filter_map(|p| p.deadline).min();
+        let retx = self.deadlines.first().map(|&(deadline, _)| deadline);
         let relay = self.next_relay_check();
         match (retx, relay) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -948,18 +957,20 @@ impl Endpoint {
     pub fn on_wakeup(&mut self, now: SimTime) -> Vec<Action> {
         let mut actions = Vec::new();
 
-        // Retransmissions.
-        let due: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| !p.in_queue && p.deadline.map(|d| d <= now).unwrap_or(false))
-            .map(|(&seq, _)| seq)
-            .collect();
-        for seq in due {
-            let p = self.pending.get_mut(&seq).unwrap();
+        // Retransmissions, in `(deadline, seq)` order.
+        while let Some(&(deadline, seq)) = self.deadlines.first() {
+            if deadline > now {
+                break;
+            }
+            self.deadlines.pop_first();
+            let p = self
+                .pending
+                .get_mut(&seq)
+                .expect("the deadline set holds only pending packets");
+            p.deadline = None;
             if p.tx_count > self.cfg.max_retx {
                 let transmissions = p.tx_count;
-                self.pending.remove(&seq);
+                self.remove_pending(seq);
                 actions.push(Action::Stat(StatEvent::SourceDrop {
                     id: PacketId {
                         origin: self.me,
@@ -968,8 +979,6 @@ impl Endpoint {
                     transmissions,
                 }));
             } else {
-                p.in_queue = true;
-                p.deadline = None;
                 self.tx_queue.push_back(OutFrame::Data { seq });
             }
         }
@@ -1110,6 +1119,9 @@ impl Endpoint {
 }
 
 #[cfg(test)]
+mod bookkeeping_props;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1171,13 +1183,47 @@ mod tests {
     #[test]
     fn no_anchor_means_data_waits() {
         let mut veh = vehicle(VifiConfig::default());
-        veh.send_app(Bytes::from_static(b"hello"), None, t(0));
+        for _ in 0..3 {
+            veh.send_app(Bytes::from_static(b"d"), None, t(0));
+        }
+        // A downstream frame from BS_A queues an ACK ahead of the data.
+        let down = DataFrame {
+            id: PacketId {
+                origin: BS_A,
+                seq: 9,
+            },
+            flow_src: BS_A,
+            flow_dst: VEH,
+            relayed_by: None,
+            app: Bytes::from_static(b"down"),
+            bitmap: None,
+        };
+        veh.on_frame(&VifiPayload::Data(down), t(1));
+        let (ack, _) = veh.pull_frame(t(2)).expect("ACKs need no anchor");
+        assert!(matches!(ack, VifiPayload::Ack(a) if a.id.seq == 9));
+        assert!(veh.pull_frame(t(3)).is_none(), "no anchor: data waits");
         assert!(veh.has_tx());
-        assert!(
-            veh.pull_frame(t(0)).is_none(),
-            "no anchor: nothing sendable"
+        assert_eq!(veh.pending_count(), 3, "packets still pending");
+        // ACKed while queued: the frame is obsolete and skipped once an
+        // anchor appears; the others leave in order.
+        veh.on_frame(
+            &VifiPayload::Ack(AckFrame {
+                from: BS_A,
+                id: PacketId {
+                    origin: VEH,
+                    seq: 1,
+                },
+                bitmap: None,
+            }),
+            t(4),
         );
-        assert_eq!(veh.pending_count(), 1, "packet still pending");
+        veh.anchor = Some(BS_A);
+        let mut seqs = Vec::new();
+        while let Some((VifiPayload::Data(d), _)) = veh.pull_frame(t(5)) {
+            seqs.push(d.id.seq);
+        }
+        assert_eq!(seqs, vec![0, 2]);
+        assert!(!veh.has_tx());
     }
 
     #[test]
@@ -1273,6 +1319,39 @@ mod tests {
         assert_eq!(transmissions, 3, "original + 2 retransmissions");
         assert!(dropped, "gives up after max_retx");
         assert_eq!(veh.pending_count(), 0);
+    }
+
+    #[test]
+    fn due_retransmissions_requeue_in_deadline_order() {
+        // Six packets go out at staggered instants, so their deadlines run
+        // out of seq order and two pairs tie; one wake-up finds all six
+        // due. Sixteen endpoints built and driven alike must re-queue them
+        // in one order: ascending by deadline, ties by seq.
+        let sent_at_ms = [30u64, 10, 30, 0, 20, 10];
+        let requeue_order = || {
+            let mut veh = vehicle(VifiConfig::default());
+            veh.anchor = Some(BS_A);
+            let t0 = t(1000);
+            for _ in &sent_at_ms {
+                veh.send_app(Bytes::from_static(b"r"), None, t0);
+            }
+            for ms in sent_at_ms {
+                veh.pull_frame(t0 + SimDuration::from_millis(ms))
+                    .expect("anchored vehicle sends");
+            }
+            let wake = t0 + SimDuration::from_secs(30);
+            assert!(veh.next_wakeup().is_some_and(|w| w <= wake));
+            let acts = veh.on_wakeup(wake);
+            assert!(acts.is_empty(), "nothing reached the retry limit");
+            let mut seqs = Vec::new();
+            while let Some((VifiPayload::Data(d), _)) = veh.pull_frame(wake) {
+                seqs.push(d.id.seq);
+            }
+            seqs
+        };
+        for _ in 0..16 {
+            assert_eq!(requeue_order(), vec![3, 1, 5, 4, 0, 2]);
+        }
     }
 
     #[test]

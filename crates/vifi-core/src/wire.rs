@@ -82,12 +82,13 @@ fn put_opt_node(buf: &mut BytesMut, n: Option<NodeId>) {
     }
 }
 
-fn get_opt_node(r: FrameReader<'_>, off: usize) -> Option<NodeId> {
-    if r.get_u8(off) == 1 {
-        Some(node(r.get_u64(off + 1)))
-    } else {
-        None
-    }
+/// An optional node at `off`; the outer `None` means the buffer ends
+/// inside the block.
+fn get_opt_node(r: FrameReader<'_>, off: usize) -> Option<Option<NodeId>> {
+    Some(match r.get_u8(off)? {
+        1 => Some(node(r.get_u64(off + 1)?)),
+        _ => None,
+    })
 }
 
 fn put_bitmap(buf: &mut BytesMut, bm: WireBitmap) {
@@ -105,12 +106,13 @@ fn put_bitmap(buf: &mut BytesMut, bm: WireBitmap) {
     }
 }
 
-fn get_bitmap(r: FrameReader<'_>, off: usize) -> WireBitmap {
-    if r.get_u8(off) == 1 {
-        Some((r.get_u64(off + 1), r.get_u8(off + BM_MASK_OFF)))
-    } else {
-        None
-    }
+/// A bitmap block at `off`; the outer `None` means the buffer ends inside
+/// the block.
+fn get_bitmap(r: FrameReader<'_>, off: usize) -> Option<WireBitmap> {
+    Some(match r.get_u8(off)? {
+        1 => Some((r.get_u64(off + 1)?, r.get_u8(off + BM_MASK_OFF)?)),
+        _ => None,
+    })
 }
 
 fn put_prob_list(buf: &mut BytesMut, list: &[(NodeId, f64)]) {
@@ -180,12 +182,12 @@ impl WirePayload for VifiPayload {
                     return None;
                 }
                 Some(VifiPayload::Ack(AckFrame {
-                    from: node(r.get_u64(A_FROM)),
+                    from: node(r.get_u64(A_FROM)?),
                     id: PacketId {
-                        origin: node(r.get_u64(A_ORIGIN)),
-                        seq: r.get_u64(A_SEQ),
+                        origin: node(r.get_u64(A_ORIGIN)?),
+                        seq: r.get_u64(A_SEQ)?,
                     },
-                    bitmap: get_bitmap(r, A_BM),
+                    bitmap: get_bitmap(r, A_BM)?,
                 }))
             }
             KIND_BEACON => {
@@ -194,21 +196,21 @@ impl WirePayload for VifiPayload {
                 if !need(off, 8 + 4) {
                     return None;
                 }
-                let nd = node(r.get_u64(off));
+                let nd = node(r.get_u64(off)?);
                 off += 8;
                 let mut lists: [Vec<(NodeId, f64)>; 2] = [Vec::new(), Vec::new()];
                 for list in lists.iter_mut() {
                     if !need(off, 4) {
                         return None;
                     }
-                    let n = r.get_u32(off) as usize;
+                    let n = r.get_u32(off)? as usize;
                     off += 4;
                     if !need(off, n * 16) {
                         return None;
                     }
                     list.reserve(n);
                     for _ in 0..n {
-                        list.push((node(r.get_u64(off)), r.get_f64(off + 8)));
+                        list.push((node(r.get_u64(off)?), r.get_f64(off + 8)?));
                         off += 16;
                     }
                 }
@@ -216,26 +218,26 @@ impl WirePayload for VifiPayload {
                 if !need(off, 1) {
                     return None;
                 }
-                let veh_flag = r.get_u8(off);
+                let veh_flag = r.get_u8(off)?;
                 off += 1;
                 let vehicle = if veh_flag == 1 {
                     if !need(off, 9 + 9 + 8 + 4) {
                         return None;
                     }
-                    let anchor = get_opt_node(r, off);
+                    let anchor = get_opt_node(r, off)?;
                     off += 9;
-                    let prev_anchor = get_opt_node(r, off);
+                    let prev_anchor = get_opt_node(r, off)?;
                     off += 9;
-                    let epoch = r.get_u64(off);
+                    let epoch = r.get_u64(off)?;
                     off += 8;
-                    let n_aux = r.get_u32(off) as usize;
+                    let n_aux = r.get_u32(off)? as usize;
                     off += 4;
                     if !need(off, n_aux * 8) {
                         return None;
                     }
                     let mut aux = Vec::with_capacity(n_aux);
                     for _ in 0..n_aux {
-                        aux.push(node(r.get_u64(off)));
+                        aux.push(node(r.get_u64(off)?));
                         off += 8;
                     }
                     Some(VehicleInfo {
@@ -278,25 +280,34 @@ fn decode_data(body: &[u8], app: impl FnOnce(usize, usize) -> Bytes) -> Option<V
         return None;
     }
     let r = FrameReader::new(body);
-    let app_len = r.get_u32(D_APP_LEN) as usize;
+    let app_len = r.get_u32(D_APP_LEN)? as usize;
     if body.len() < D_APP + app_len {
         return None;
     }
     Some(VifiPayload::Data(DataFrame {
         id: PacketId {
-            origin: node(r.get_u64(D_ORIGIN)),
-            seq: r.get_u64(D_SEQ),
+            origin: node(r.get_u64(D_ORIGIN)?),
+            seq: r.get_u64(D_SEQ)?,
         },
-        flow_src: node(r.get_u64(D_FLOW_SRC)),
-        flow_dst: node(r.get_u64(D_FLOW_DST)),
-        relayed_by: get_opt_node(r, D_RELAYED_FLAG),
+        flow_src: node(r.get_u64(D_FLOW_SRC)?),
+        flow_dst: node(r.get_u64(D_FLOW_DST)?),
+        relayed_by: get_opt_node(r, D_RELAYED_FLAG)?,
         app: app(D_APP, app_len),
-        bitmap: get_bitmap(r, D_BM),
+        bitmap: get_bitmap(r, D_BM)?,
     }))
+}
+
+const CHECKED_BY_OF: &str = "the view's constructor checked the length";
+
+/// A u64 field of a view, which its constructor checked is in range.
+fn view_u64(r: FrameReader<'_>, off: usize) -> u64 {
+    r.get_u64(off).expect(CHECKED_BY_OF)
 }
 
 /// Zero-copy view over a packed data payload: the fields the engine's
 /// barrier metas and statistics emission need, read at fixed offsets.
+/// [`DataView::of`] checks that the fixed fields are all there, so the
+/// accessors cannot run past the buffer.
 #[derive(Clone, Copy)]
 pub struct DataView<'a> {
     r: FrameReader<'a>,
@@ -317,28 +328,29 @@ impl<'a> DataView<'a> {
     /// Packet identity.
     pub fn id(&self) -> PacketId {
         PacketId {
-            origin: node(self.r.get_u64(D_ORIGIN)),
-            seq: self.r.get_u64(D_SEQ),
+            origin: node(view_u64(self.r, D_ORIGIN)),
+            seq: view_u64(self.r, D_SEQ),
         }
     }
 
     /// Logical transfer source.
     pub fn flow_src(&self) -> NodeId {
-        node(self.r.get_u64(D_FLOW_SRC))
+        node(view_u64(self.r, D_FLOW_SRC))
     }
 
     /// Logical transfer destination.
     pub fn flow_dst(&self) -> NodeId {
-        node(self.r.get_u64(D_FLOW_DST))
+        node(view_u64(self.r, D_FLOW_DST))
     }
 
     /// Which auxiliary relayed this copy, if any.
     pub fn relayed_by(&self) -> Option<NodeId> {
-        get_opt_node(self.r, D_RELAYED_FLAG)
+        get_opt_node(self.r, D_RELAYED_FLAG).expect(CHECKED_BY_OF)
     }
 }
 
-/// Zero-copy view over a packed ack payload.
+/// Zero-copy view over a packed ack payload; like [`DataView`], its
+/// constructor checks the length its accessors read.
 #[derive(Clone, Copy)]
 pub struct AckView<'a> {
     r: FrameReader<'a>,
@@ -358,14 +370,14 @@ impl<'a> AckView<'a> {
 
     /// The acknowledging node.
     pub fn from(&self) -> NodeId {
-        node(self.r.get_u64(A_FROM))
+        node(view_u64(self.r, A_FROM))
     }
 
     /// The packet being acknowledged.
     pub fn id(&self) -> PacketId {
         PacketId {
-            origin: node(self.r.get_u64(A_ORIGIN)),
-            seq: self.r.get_u64(A_SEQ),
+            origin: node(view_u64(self.r, A_ORIGIN)),
+            seq: view_u64(self.r, A_SEQ),
         }
     }
 }
@@ -375,6 +387,8 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use proptest::prelude::*;
+    use vifi_mac::WIRE_HEADER_LEN;
+    use vifi_sim::Rng;
 
     fn frame(p: &VifiPayload) -> WireFrame {
         WireFrame::encode(NodeId(7), 300, p)
@@ -529,6 +543,112 @@ mod tests {
             None
         } else {
             Some(NodeId(v))
+        }
+    }
+
+    /// One payload of each kind (`kind` 0–2 as the wire kind bytes), its
+    /// fields and list lengths drawn from `seed`.
+    fn sample_payload(kind: u8, seed: u64) -> VifiPayload {
+        let mut rng = Rng::new(seed);
+        let mut id = || NodeId(rng.below(64) as u32);
+        let (a, b, c) = (id(), id(), id());
+        let mut rng = Rng::new(seed ^ 0x5a5a);
+        let bitmap = (rng.below(2) == 1).then(|| (rng.below(1 << 20), rng.below(256) as u8));
+        match kind {
+            KIND_DATA => VifiPayload::Data(DataFrame {
+                id: PacketId {
+                    origin: a,
+                    seq: rng.below(1 << 20),
+                },
+                flow_src: a,
+                flow_dst: b,
+                relayed_by: (rng.below(2) == 1).then_some(c),
+                app: Bytes::from(vec![0xa5; rng.below(48) as usize]),
+                bitmap,
+            }),
+            KIND_ACK => VifiPayload::Ack(AckFrame {
+                from: b,
+                id: PacketId {
+                    origin: a,
+                    seq: rng.below(1 << 20),
+                },
+                bitmap,
+            }),
+            _ => {
+                let mut list = |n: u64| -> Vec<(NodeId, f64)> {
+                    (0..rng.below(n))
+                        .map(|i| (NodeId(i as u32), rng.next_f64()))
+                        .collect()
+                };
+                let (incoming, outgoing) = (list(8), list(8));
+                VifiPayload::Beacon(BeaconPayload {
+                    node: a,
+                    incoming,
+                    outgoing,
+                    vehicle: (seed % 2 == 1).then(|| VehicleInfo {
+                        anchor: Some(b),
+                        prev_anchor: (seed % 3 == 0).then_some(c),
+                        epoch: seed >> 8,
+                        aux: (0..seed % 6).map(|i| NodeId(i as u32)).collect(),
+                    }),
+                })
+            }
+        }
+    }
+
+    /// Feed received bytes through every reader of the receive path. None
+    /// may panic, and the views must agree with a successful decode.
+    fn read_hostile(bytes: &[u8]) -> Option<VifiPayload> {
+        let Some(f) = WireFrame::from_bytes(Bytes::copy_from_slice(bytes)) else {
+            assert!(bytes.len() < WIRE_HEADER_LEN);
+            return None;
+        };
+        let _ = (f.src(), f.size_bytes());
+        let decoded = f.decode::<VifiPayload>();
+        // Debug strings, so a NaN flipped into a probability compares equal.
+        let copied = VifiPayload::decode(f.kind(), f.payload_bytes());
+        assert_eq!(format!("{copied:?}"), format!("{decoded:?}"));
+        if let Some(v) = DataView::of(&f) {
+            let fields = (v.id(), v.flow_src(), v.flow_dst(), v.relayed_by());
+            if let Some(VifiPayload::Data(d)) = &decoded {
+                assert_eq!(fields, (d.id, d.flow_src, d.flow_dst, d.relayed_by));
+            }
+        }
+        if let Some(v) = AckView::of(&f) {
+            let fields = (v.from(), v.id());
+            if let Some(VifiPayload::Ack(a)) = &decoded {
+                assert_eq!(fields, (a.from, a.id));
+            }
+        }
+        decoded
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn prop_truncated_and_flipped_frames_never_panic(
+            kind in 0u8..3,
+            seed in any::<u64>(),
+            cut in any::<u64>(),
+            flips in proptest::collection::vec((any::<u64>(), 0u8..8), 0..4usize),
+        ) {
+            let p = sample_payload(kind, seed);
+            let mut bytes = frame(&p).bytes().to_vec();
+            let full = bytes.len();
+            // Half the cases keep every byte and only flip bits.
+            let keep = if cut % 2 == 0 { full } else { (cut / 2) as usize % (full + 1) };
+            bytes.truncate(keep);
+            for &(pos, bit) in &flips {
+                if !bytes.is_empty() {
+                    let i = pos as usize % bytes.len();
+                    bytes[i] ^= 1 << bit;
+                }
+            }
+            let decoded = read_hostile(&bytes);
+            if flips.is_empty() {
+                let expect = (keep == full).then_some(p);
+                prop_assert_eq!(decoded, expect, "a strict prefix never decodes");
+            }
         }
     }
 

@@ -12,8 +12,8 @@
 //! phases pass reference-counted handles around instead of deep-cloning
 //! owned payload structs. The typed repr is split reader/writer style:
 //! [`FrameWriter`] appends little-endian fields into a growable buffer,
-//! [`FrameReader`] decodes them (and derives airtime straight from the
-//! header's length field) without copying the underlying bytes.
+//! [`FrameReader`] reads them back without copying the underlying bytes,
+//! and answers `None` for a field that runs past the end of the buffer.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use vifi_phy::NodeId;
@@ -159,19 +159,20 @@ impl WireFrame {
         Some(WireFrame { bytes })
     }
 
-    /// Header reader over this frame's buffer.
-    fn reader(&self) -> FrameReader<'_> {
-        FrameReader::new(&self.bytes)
+    /// Reader over the header, which every `WireFrame` holds whole
+    /// (`encode` writes it, `from_bytes` checks its length).
+    fn header(&self) -> FrameReader<'_> {
+        FrameReader::new(&self.bytes[..WIRE_HEADER_LEN])
     }
 
     /// Transmitting node, decoded from the header's src label.
     pub fn src(&self) -> NodeId {
-        NodeId(self.reader().get_u64(0) as u32)
+        NodeId(self.header().get_u64(0).expect("whole header") as u32)
     }
 
     /// Modeled size on the wire, bytes.
     pub fn size_bytes(&self) -> u32 {
-        self.reader().get_u32(8)
+        self.header().get_u32(8).expect("whole header")
     }
 
     /// Payload kind tag.
@@ -193,7 +194,7 @@ impl WireFrame {
     /// Time on air under `mac`, computed from the header's length field
     /// without decoding the payload.
     pub fn airtime(&self, mac: &MacParams) -> SimDuration {
-        self.reader().airtime(mac)
+        mac.airtime(self.size_bytes())
     }
 
     /// Decode the payload back into its typed form. Byte-carrying fields
@@ -269,36 +270,44 @@ impl std::ops::DerefMut for FrameWriter {
 }
 
 /// Reader half of the repr split: typed little-endian accessors over a
-/// packed frame buffer. Purely positional — no state, no copies.
+/// packed buffer. Purely positional — no state, no copies. Every getter
+/// returns `None` when its field would run past the end of the buffer,
+/// so a reader over any slice, however short, never panics.
 #[derive(Clone, Copy)]
 pub struct FrameReader<'a> {
     bytes: &'a [u8],
 }
 
 impl<'a> FrameReader<'a> {
-    /// Reader over a packed buffer (header at offset 0).
+    /// Reader over a packed buffer.
     pub fn new(bytes: &'a [u8]) -> Self {
         FrameReader { bytes }
     }
 
+    /// The `N` bytes at `off`, if the buffer holds them.
+    fn array<const N: usize>(&self, off: usize) -> Option<[u8; N]> {
+        let field = self.bytes.get(off..off.checked_add(N)?)?;
+        field.try_into().ok()
+    }
+
     /// One byte at `off`.
-    pub fn get_u8(&self, off: usize) -> u8 {
-        self.bytes[off]
+    pub fn get_u8(&self, off: usize) -> Option<u8> {
+        self.bytes.get(off).copied()
     }
 
     /// Little-endian u32 at `off`.
-    pub fn get_u32(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.bytes[off..off + 4].try_into().unwrap())
+    pub fn get_u32(&self, off: usize) -> Option<u32> {
+        self.array(off).map(u32::from_le_bytes)
     }
 
     /// Little-endian u64 at `off`.
-    pub fn get_u64(&self, off: usize) -> u64 {
-        u64::from_le_bytes(self.bytes[off..off + 8].try_into().unwrap())
+    pub fn get_u64(&self, off: usize) -> Option<u64> {
+        self.array(off).map(u64::from_le_bytes)
     }
 
     /// f64 from its bit pattern at `off`.
-    pub fn get_f64(&self, off: usize) -> f64 {
-        f64::from_bits(self.get_u64(off))
+    pub fn get_f64(&self, off: usize) -> Option<f64> {
+        self.get_u64(off).map(f64::from_bits)
     }
 
     /// Total buffer length.
@@ -309,13 +318,6 @@ impl<'a> FrameReader<'a> {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.bytes.is_empty()
-    }
-
-    /// Time on air under `mac`, read directly from the header's
-    /// `size_bytes` field — the MAC never needs the decoded payload to
-    /// schedule a frame.
-    pub fn airtime(&self, mac: &MacParams) -> SimDuration {
-        mac.airtime(self.get_u32(8))
     }
 }
 
@@ -375,8 +377,8 @@ mod tests {
             }
             let r = FrameReader::new(body);
             Some(Probe {
-                a: r.get_u64(0),
-                b: r.get_f64(8),
+                a: r.get_u64(0)?,
+                b: r.get_f64(8)?,
             })
         }
     }
@@ -418,6 +420,19 @@ mod tests {
         let f = WireFrame::encode(NodeId(2), 64, &p);
         let re = WireFrame::from_bytes(f.bytes()).unwrap();
         assert_eq!(re.decode::<Probe>(), Some(Probe { a: 5, b: 1.5 }));
+    }
+
+    #[test]
+    fn reader_getters_reject_fields_past_the_end() {
+        let r = FrameReader::new(&[1, 0, 0, 0, 2, 0, 0]);
+        assert_eq!(r.get_u8(6), Some(0));
+        assert_eq!(r.get_u8(7), None);
+        assert_eq!(r.get_u32(0), Some(1));
+        assert_eq!(r.get_u32(3), Some(2 << 8));
+        assert_eq!(r.get_u32(4), None, "one byte short");
+        assert_eq!(r.get_u64(0), None);
+        assert_eq!(r.get_f64(usize::MAX - 3), None, "offset overflow");
+        assert_eq!(FrameReader::new(&[]).get_u8(0), None);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   stream, so adding instrumentation or reordering draws in one subsystem
 //!   never perturbs another. A whole simulation run is a pure function of
 //!   `(config, seed)`.
+//! * [`FxHashMap`] — a `HashMap` under a seedless multiply-rotate hash
+//!   ([`FxHasher`]), for tables keyed by node ids and sequence numbers.
 //! * [`EventQueue`] — a stable binary heap of timestamped events with
 //!   deterministic FIFO tie-breaking and O(log n) cancellation via
 //!   [`TimerToken`]s.
@@ -31,6 +33,7 @@
 
 pub mod epoch;
 pub mod event;
+pub mod hash;
 pub mod rng;
 pub mod sched;
 pub mod time;
@@ -40,6 +43,7 @@ pub use epoch::{
     NestedEpochBarrier,
 };
 pub use event::{EventQueue, TimerToken};
+pub use hash::{FxHashMap, FxHasher};
 pub use rng::Rng;
 pub use sched::Scheduler;
 pub use time::{SimDuration, SimTime};
